@@ -56,15 +56,12 @@ from .sampling import (
     pair_pmf_closed_form,
     pair_pmf_exact,
     prob_distinct_exact,
-    sample_generation,
 )
 from .simulate import (
-    FamilyRecord,
-    FamilyStream,
     GenerationTrace,
+    SamplingView,
     SeedSpec,
     kesten_stigum_diagnostic,
-    materialize_families,
     sampling_view,
     simulate_aggregate,
 )

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedCsv, UnknownPreset
+from .errors import GwfamError, MalformedCsv, UnknownPreset
 from .estimators import (
     amle_fit,
     mitosis_closed_form,
@@ -151,8 +151,7 @@ def _replicate_row(task: tuple) -> dict:
     n = payload["n"]
     r = payload["r"]
     trace = simulate_aggregate(model, payload["z0"], n, seed)
-    stream = sampling_view(trace)
-    sample = draw_family_sample(stream, r, seed)
+    sample = draw_family_sample(sampling_view(trace), r, seed)
     row: dict = {
         "replicate": k,
         "population": int(trace.totals()[-1]),
@@ -221,6 +220,8 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
     (master_seed, cell index) and replicate seeds from (cell seed, replicate
     index), so worker count and scheduling cannot change any output byte.
     """
+    if config.replicates < 1:
+        raise GwfamError(f"replicates must be >= 1, got {config.replicates}")
     t0 = time.perf_counter()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -73,13 +73,6 @@ class OffspringLaw:
         return s
 
     @cached_property
-    def cdf(self) -> np.ndarray:
-        c = np.cumsum(self.probs)
-        c[-1] = 1.0  # guard searchsorted against float shortfall
-        c.setflags(write=False)
-        return c
-
-    @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
         return {tuple(int(x) for x in v): j for j, v in enumerate(self.vectors)}
 

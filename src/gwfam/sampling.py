@@ -1,10 +1,11 @@
 """Family-size sampling and its exact combinatorial oracles.
 
 Sampling picks r distinct individuals uniformly from a generation; each one
-reports its whole family (brood vector) and parent identity. Large
-generations are handled in two streaming passes over the replayable family
-stream: learn the child counts, then walk again and pull out the families
-containing the chosen indices.
+reports its whole family (brood vector) and parent identity. Given the final
+transition's family counts per (parent type, support point), families whose
+parents share a type are exchangeable, so the children are laid out in one
+block per (type, support point) and a uniform r-subset of them is drawn by
+index. The cost does not depend on the population size.
 
 The oracles are exact: the probability that a sample hits r distinct
 families given realized family sizes is an elementary-symmetric-polynomial
@@ -30,7 +31,7 @@ from .errors import (
     InvalidSampleSize,
     SampleExceedsPopulation,
 )
-from .simulate import FamilyStream, SeedSpec, simulate_aggregate, sampling_view
+from .simulate import SamplingView, SeedSpec, simulate_aggregate
 
 if TYPE_CHECKING:
     from .models import BranchingModel
@@ -57,39 +58,51 @@ class FamilySample:
         return self.broods.shape[0]
 
 
-def draw_family_sample(stream: FamilyStream, r: int, seed: SeedSpec | None = None) -> FamilySample:
+def draw_family_sample(view: SamplingView, r: int, seed: SeedSpec | None = None) -> FamilySample:
     """Sample r distinct individuals uniformly, without replacement.
 
-    Pass 1 over the stream yields the child count; r distinct child indices
-    are then drawn by Floyd's subset algorithm (no retries) and pass 2
-    replays the stream to emit the families containing them. A family's
-    record repeats whenever several chosen indices fall inside it.
+    The view's children are laid out in blocks: type-major, then support
+    points in ``law.vectors`` order, block (i, j) holding the
+    ``brood_counts[i][j]`` families of that brood one after another. Floyd's
+    subset algorithm picks r distinct child indices and a seeded permutation
+    puts them in uniformly random order. ``parent_indices`` numbers the
+    families of each parent type in that layout, so two records share a
+    parent exactly when they share (parent type, parent index).
     """
     r = int(r)
     if r < 0:
         raise InvalidSampleSize(f"sample size must be >= 0, got {r}")
-    n_children = stream.total_children()
+    n_children = view.total_children()
     if r > n_children:
         raise SampleExceedsPopulation(f"asked for {r} of {n_children} individuals")
     if seed is None:
-        seed = stream.seed
-    rng = seed.sampling_stream(stream.generation)
-    chosen = _distinct_uniform_indices(rng, n_children, r)
-    parent_types, parent_indices, broods = stream.select_children(chosen)
+        seed = view.seed
+    rng = seed.sampling_stream(view.generation)
+    chosen = _distinct_uniform_indices(rng, n_children, r)[rng.permutation(r)]
+    laws = view.model.laws
+    counts = np.concatenate(view.brood_counts)
+    sizes = np.concatenate([law.sizes for law in laws])
+    block_children = counts * sizes
+    block_end = np.cumsum(block_children)
+    # first family ordinal of each block among the families of its parent type
+    family_start = np.concatenate([np.cumsum(c) - c for c in view.brood_counts])
+    block = np.searchsorted(block_end, chosen, side="right")
+    offset = chosen - (block_end - block_children)[block]
+    block_type = np.repeat(np.arange(len(laws)), [law.n_points for law in laws])
     return FamilySample(
-        broods=broods,
-        parent_types=parent_types,
-        parent_indices=parent_indices,
-        generation=stream.generation + 1,
+        broods=np.concatenate([law.vectors for law in laws])[block],
+        parent_types=block_type[block],
+        parent_indices=family_start[block] + offset // sizes[block],
+        generation=view.generation + 1,
         population_total=n_children,
     )
 
 
 def _distinct_uniform_indices(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
-    # Floyd's algorithm: a uniform r-subset of range(n) in exactly r draws.
+    # Floyd's algorithm: a uniform r-subset of range(n) in exactly r draws,
+    # the draw for j uniform on [0, j].
     chosen: set[int] = set()
-    for j in range(n - r, n):
-        t = int(rng.integers(0, j + 1))
+    for j, t in zip(range(n - r, n), rng.integers(0, np.arange(n - r + 1, n + 1)).tolist()):
         chosen.add(j if t in chosen else t)
     return np.sort(np.fromiter(chosen, dtype=np.int64, count=r))
 
@@ -475,22 +488,3 @@ def empirical_tv_to_limit(
         for (u, v) in pair_keys
     )
     return tv_marginal, tv_pair
-
-
-def sample_generation(
-    model: "BranchingModel",
-    z0: Sequence[int],
-    n: int,
-    r: int,
-    seed: SeedSpec,
-) -> tuple[FamilySample, "np.ndarray"]:
-    """Simulate to generation n and draw a family sample of size r.
-
-    Convenience wrapper tying the aggregate trace to the two-pass sampler;
-    returns the sample and the trace's generation totals.
-    """
-    if n < 1:
-        raise ValueError("sampling needs at least one transition")
-    trace = simulate_aggregate(model, z0, n, seed)
-    sample = draw_family_sample(sampling_view(trace), r, seed)
-    return sample, trace.totals()

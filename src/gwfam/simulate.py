@@ -1,24 +1,20 @@
-"""Generation-level simulation with deterministic, replayable randomness.
+"""Generation-level simulation with deterministic, counter-based randomness.
 
-Randomness is counter-based: every (replicate, generation, parent type)
-triple owns an independent Philox stream derived from the master seed, and a
-family's brood is the k-th draw of its type's stream, where k is the parent's
-ordinal within the type. Nothing about scheduling, chunk sizes, or worker
-counts changes the draws, so a generation of families can be *replayed*
-instead of stored -- the two-pass sampling in :mod:`gwfam.sampling` relies on
-this.
+Every (replicate, generation, parent type) triple owns an independent Philox
+stream derived from the master seed. Nothing about scheduling or worker
+counts changes the draws, so any replicate can be regenerated from its seed.
 
-Aggregate simulation advances whole generations by drawing multinomial counts
-over each law's support (cost O(types * support) per step, independent of the
-population). The final transition is the exception: it walks the per-family
-stream so that the trace agrees exactly with the family records a sampler
-will see.
+Simulation advances whole generations by drawing, per parent type, one
+multinomial count over the law's support (cost O(types * support) per step,
+independent of the population). The final transition is drawn the same way;
+its per-support family counts are kept, and they are all a sampler needs:
+families whose parents share a type are exchangeable given those counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -34,7 +30,6 @@ _STREAM_SAMPLING = 1
 _STREAM_CELL = 2
 
 DEFAULT_POPULATION_CAP = 2**40
-DEFAULT_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,7 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(seq))
 
     def family_stream(self, generation: int, parent_type: int) -> np.random.Generator:
-        """Stream whose k-th draw decides the brood of parent k of this type."""
+        """Stream of the multinomial that spreads this type's parents over its law's support."""
         return self._stream(_STREAM_FAMILY, self.replicate, generation, parent_type)
 
     def sampling_stream(self, generation: int) -> np.random.Generator:
@@ -75,163 +70,14 @@ class SeedSpec:
 
 
 @dataclass(frozen=True)
-class FamilyRecord:
-    """One family: the parent's type and ordinal, and its brood vector."""
-
-    parent_type: int
-    parent_index: int
-    brood: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(self.brood)
-
-
-class FamilyStream:
-    """Deterministic, restartable stream of one generation's families.
-
-    Canonical order is type-major, parent-index-minor. Walks regenerate the
-    broods from the seed, so the stream needs O(chunk) memory regardless of
-    the population size and can be consumed any number of times.
-    """
-
-    def __init__(
-        self,
-        model: "BranchingModel",
-        z_prev: Sequence[int],
-        seed: SeedSpec,
-        generation: int = 0,
-        chunk: int = DEFAULT_CHUNK,
-        brood_counts: tuple[np.ndarray, ...] | None = None,
-    ):
-        self.model = model
-        self.z_prev = np.asarray(z_prev, dtype=np.int64)
-        if self.z_prev.shape != (model.n_types,):
-            raise ValueError("z_prev must hold one count per type")
-        if self.z_prev.sum() < 1:
-            raise ValueError("need at least one parent")
-        self.seed = seed
-        self.generation = generation
-        self.chunk = int(chunk)
-        self._brood_counts = brood_counts
-
-    def _walk_type(self, parent_type: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (first parent index, support indices) chunk by chunk."""
-        parents = int(self.z_prev[parent_type])
-        if parents == 0:
-            return
-        law = self.model.laws[parent_type]
-        rng = self.seed.family_stream(self.generation, parent_type)
-        for start in range(0, parents, self.chunk):
-            u = rng.random(min(self.chunk, parents - start))
-            yield start, np.searchsorted(law.cdf, u, side="right")
-
-    def brood_counts(self) -> tuple[np.ndarray, ...]:
-        """Per type, how many families realized each support point."""
-        if self._brood_counts is None:
-            out = []
-            for i, law in enumerate(self.model.laws):
-                counts = np.zeros(law.n_points, dtype=np.int64)
-                for _, idx in self._walk_type(i):
-                    counts += np.bincount(idx, minlength=law.n_points)
-                out.append(counts)
-            self._brood_counts = tuple(out)
-        return self._brood_counts
-
-    def child_totals(self) -> np.ndarray:
-        """Children per parent type (the S vector of this transition)."""
-        counts = self.brood_counts()
-        return np.array(
-            [int(c @ law.sizes) for c, law in zip(counts, self.model.laws)],
-            dtype=np.int64,
-        )
-
-    def next_generation(self) -> np.ndarray:
-        counts = self.brood_counts()
-        z = np.zeros(self.model.n_types, dtype=np.int64)
-        for c, law in zip(counts, self.model.laws):
-            z += c @ law.vectors
-        return z
-
-    def total_children(self) -> int:
-        return int(self.child_totals().sum())
-
-    def __iter__(self) -> Iterator[FamilyRecord]:
-        for i in range(self.model.n_types):
-            law = self.model.laws[i]
-            for start, idx in self._walk_type(i):
-                for offset, j in enumerate(idx):
-                    yield FamilyRecord(
-                        parent_type=i,
-                        parent_index=start + offset,
-                        brood=tuple(int(x) for x in law.vectors[j]),
-                    )
-
-    def select_children(
-        self, child_indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Family records containing the given child indices.
-
-        ``child_indices`` are sorted, distinct positions in the canonical
-        child order (all children of type-0 parents first, family by family,
-        then type 1, ...). Returns (parent_types, parent_indices, broods)
-        aligned with the input; a family repeats when several indices fall
-        inside it.
-        """
-        targets = np.asarray(child_indices, dtype=np.int64)
-        totals = self.child_totals()
-        n_children = int(totals.sum())
-        if targets.size and (targets[0] < 0 or targets[-1] >= n_children):
-            raise IndexError("child index out of range")
-        type_starts = np.concatenate(([0], np.cumsum(totals)))
-        parent_types = np.empty(targets.size, dtype=np.int64)
-        parent_indices = np.empty(targets.size, dtype=np.int64)
-        broods = np.empty((targets.size, self.model.n_types), dtype=np.int64)
-        for i in range(self.model.n_types):
-            lo = np.searchsorted(targets, type_starts[i], side="left")
-            hi = np.searchsorted(targets, type_starts[i + 1], side="left")
-            if lo == hi:
-                continue
-            local = targets[lo:hi] - type_starts[i]
-            law = self.model.laws[i]
-            child_base = 0
-            pos = lo
-            for start, idx in self._walk_type(i):
-                if pos == hi:
-                    break
-                sizes = law.sizes[idx]
-                cum = np.cumsum(sizes)
-                stop = np.searchsorted(local[pos - lo:], child_base + cum[-1]) + pos
-                if stop > pos:
-                    sel = local[pos - lo : stop - lo] - child_base
-                    fam = np.searchsorted(cum, sel, side="right")
-                    parent_types[pos:stop] = i
-                    parent_indices[pos:stop] = start + fam
-                    broods[pos:stop] = law.vectors[idx[fam]]
-                    pos = stop
-                child_base += int(cum[-1])
-        return parent_types, parent_indices, broods
-
-
-def materialize_families(
-    model: "BranchingModel",
-    z_prev: Sequence[int],
-    seed: SeedSpec,
-    generation: int = 0,
-    chunk: int = DEFAULT_CHUNK,
-) -> FamilyStream:
-    """Family-level view of one generation transition as a replayable stream."""
-    return FamilyStream(model, z_prev, seed, generation=generation, chunk=chunk)
-
-
-@dataclass(frozen=True)
 class GenerationTrace:
     """Aggregate history of one simulated tree.
 
     ``z[k]`` is the type-count vector of generation k; ``child_totals[k, i]``
     the number of generation-(k+1) individuals whose parent has type i.
-    ``last_brood_counts`` carries the realized per-support family counts of
-    the final transition, which is simulated family-by-family.
+    ``last_brood_counts[i][j]`` is how many type-i parents of the final
+    transition had brood ``model.laws[i].vectors[j]``; it is None only when
+    no transition was simulated.
     """
 
     model: "BranchingModel"
@@ -255,7 +101,7 @@ class GenerationTrace:
     def family_size_counts(self) -> dict[int, int]:
         """Multiset {family size: count} of the final transition's families."""
         if self.last_brood_counts is None:
-            raise ValueError("trace has no materialized final transition")
+            raise ValueError("trace has no simulated transition")
         out: dict[int, int] = {}
         for counts, law in zip(self.last_brood_counts, self.model.laws):
             for size, c in zip(law.sizes, counts):
@@ -273,30 +119,25 @@ def simulate_aggregate(
 ) -> GenerationTrace:
     """Simulate n generation transitions, tracking counts only.
 
-    Transitions before the last draw one multinomial over each law's support
-    per parent type. The last transition walks the per-family streams, so its
-    counts coincide exactly with what :func:`materialize_families` replays
-    for the same seed and generation index.
+    Each transition draws, per parent type, one multinomial over the law's
+    support from ``seed.family_stream(k, i)``. The final transition's counts
+    are kept as ``last_brood_counts`` for :func:`sampling_view`.
     """
-    z0 = np.asarray(z0, dtype=np.int64)
-    if z0.shape != (model.n_types,) or np.any(z0 < 0) or z0.sum() < 1:
-        raise ValueError("z0 must be a nonnegative type-count vector with |z0| >= 1")
+    raw = np.asarray(z0)
+    z0 = raw.astype(np.int64)
+    if z0.shape != (model.n_types,) or np.any(z0 != raw) or np.any(z0 < 0) or z0.sum() < 1:
+        raise ValueError("z0 must be a nonnegative integer type-count vector with |z0| >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     z_hist = np.zeros((n + 1, model.n_types), dtype=np.int64)
     s_hist = np.zeros((n, model.n_types), dtype=np.int64)
     z_hist[0] = z0
-    last_counts: tuple[np.ndarray, ...] | None = None
+    per_type_counts: tuple[np.ndarray, ...] | None = None
     for k in range(n):
-        if k == n - 1:
-            stream = FamilyStream(model, z_hist[k], seed, generation=k)
-            last_counts = stream.brood_counts()
-            per_type_counts = last_counts
-        else:
-            per_type_counts = tuple(
-                seed.family_stream(k, i).multinomial(int(z_hist[k, i]), law.probs)
-                for i, law in enumerate(model.laws)
-            )
+        per_type_counts = tuple(
+            seed.family_stream(k, i).multinomial(int(z_hist[k, i]), law.probs)
+            for i, law in enumerate(model.laws)
+        )
         z_next = np.zeros(model.n_types, dtype=np.int64)
         for i, (counts, law) in enumerate(zip(per_type_counts, model.laws)):
             z_next += counts @ law.vectors
@@ -307,20 +148,43 @@ def simulate_aggregate(
             )
         z_hist[k + 1] = z_next
     return GenerationTrace(
-        model=model, z=z_hist, child_totals=s_hist, seed=seed, last_brood_counts=last_counts
+        model=model, z=z_hist, child_totals=s_hist, seed=seed, last_brood_counts=per_type_counts
     )
 
 
-def sampling_view(trace: GenerationTrace) -> FamilyStream:
-    """Stream of the final transition's families, reusing the trace's counts."""
-    if trace.n < 1 or trace.last_brood_counts is None:
+@dataclass(frozen=True)
+class SamplingView:
+    """The final transition of a trace, as family counts per support point.
+
+    ``brood_counts[i][j]`` families have a type-i parent and brood
+    ``model.laws[i].vectors[j]``; they produced generation ``generation + 1``.
+    """
+
+    model: "BranchingModel"
+    brood_counts: tuple[np.ndarray, ...]
+    seed: SeedSpec
+    generation: int
+
+    def child_totals(self) -> np.ndarray:
+        """Children per parent type (the S vector of this transition)."""
+        return np.array(
+            [int(c @ law.sizes) for c, law in zip(self.brood_counts, self.model.laws)],
+            dtype=np.int64,
+        )
+
+    def total_children(self) -> int:
+        return int(self.child_totals().sum())
+
+
+def sampling_view(trace: GenerationTrace) -> SamplingView:
+    """The trace's final transition, ready for :func:`gwfam.draw_family_sample`."""
+    if trace.last_brood_counts is None:
         raise ValueError("need a trace with at least one simulated transition")
-    return FamilyStream(
-        trace.model,
-        trace.z[trace.n - 1],
-        trace.seed,
-        generation=trace.n - 1,
+    return SamplingView(
+        model=trace.model,
         brood_counts=trace.last_brood_counts,
+        seed=trace.seed,
+        generation=trace.n - 1,
     )
 
 

@@ -244,11 +244,14 @@ class TestMitosisClosedForm:
 class TestCiCoverage:
     def test_b1_coverage_at_moderate_depth(self, mitosis88):
         # nominal 95% interval from the exact limit variance should cover
-        # the true proportion in 93..97% of 500 replicates at n=16, r=256
+        # the true proportion in 93..97% of 5000 replicates at n=16, r=256;
+        # the Monte Carlo sd of the rate is 0.003, a sixth of the window's
+        # half-width (at 500 replicates it was half, and 5% of correct runs
+        # fell outside)
         pair = g.perron(g.reproduction_matrix(mitosis88))
         var = g.asymptotic_variances(mitosis88, pair)
         covered = 0
-        reps = 500
+        reps = 5000
         for k in range(reps):
             seed = SeedSpec(1606, replicate=k)
             trace = g.simulate_aggregate(mitosis88, (1, 1), 16, seed)

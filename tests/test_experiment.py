@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gwfam as g
-from gwfam.errors import MalformedCsv, UnknownPreset
+from gwfam.errors import GwfamError, MalformedCsv, UnknownPreset
 from gwfam.experiment import ExperimentCell, ExperimentConfig
 from gwfam.sampling import SampleSizeRule
 
@@ -92,6 +92,12 @@ class TestRunExperiment:
             g.run_experiment(cfg)
         manifest = json.loads((tmp_path / "tiny__FAILED.json").read_text())
         assert manifest["failed_cell"] == "cell0"
+
+    def test_no_replicates_rejected_before_any_work(self, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(GwfamError, match="replicates"):
+            g.run_experiment(tiny_config(out_dir, replicates=0))
+        assert not out_dir.exists()
 
     def test_config_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -31,8 +31,8 @@ def brute_force_prob_distinct(sizes, r) -> Fraction:
 
 class TestDrawFamilySample:
     def test_census_reports_each_family_with_multiplicity(self, mitosis88):
-        stream = g.materialize_families(mitosis88, (2, 1), SeedSpec(5))
-        sample = g.draw_family_sample(stream, 6, SeedSpec(5))
+        view = g.sampling_view(g.simulate_aggregate(mitosis88, (2, 1), 1, SeedSpec(5)))
+        sample = g.draw_family_sample(view, 6, SeedSpec(5))
         parents = Counter(zip(sample.parent_types.tolist(), sample.parent_indices.tolist()))
         assert sum(parents.values()) == 6
         assert set(parents.values()) == {2}  # every mitosis family has two members
@@ -42,15 +42,15 @@ class TestDrawFamilySample:
         model = g.branching_model(
             [g.offspring_law([((1, 1), 1.0)]), g.offspring_law([((2, 0), 1.0)])]
         )
-        stream = g.materialize_families(model, (1, 1), SeedSpec(6))
-        sample = g.draw_family_sample(stream, 4, SeedSpec(6))
+        view = g.sampling_view(g.simulate_aggregate(model, (1, 1), 1, SeedSpec(6)))
+        sample = g.draw_family_sample(view, 4, SeedSpec(6))
         broods = Counter(tuple(b) for b in sample.broods.tolist())
         assert broods == {(1, 1): 2, (2, 0): 2}
 
     def test_sample_too_large(self, mitosis88):
-        stream = g.materialize_families(mitosis88, (1, 1), SeedSpec(7))
+        view = g.sampling_view(g.simulate_aggregate(mitosis88, (1, 1), 1, SeedSpec(7)))
         with pytest.raises(SampleExceedsPopulation):
-            g.draw_family_sample(stream, 5, SeedSpec(7))
+            g.draw_family_sample(view, 5, SeedSpec(7))
 
     def test_selection_is_uniform(self, mitosis88):
         # 4 children; every 2-subset should appear with frequency 1/6
@@ -59,9 +59,9 @@ class TestDrawFamilySample:
         )
         reps = 6000
         counts = Counter()
-        stream = g.materialize_families(model, (1, 1), SeedSpec(8))
+        view = g.sampling_view(g.simulate_aggregate(model, (1, 1), 1, SeedSpec(8)))
         for k in range(reps):
-            s = g.draw_family_sample(stream, 2, SeedSpec(8, replicate=k))
+            s = g.draw_family_sample(view, 2, SeedSpec(8, replicate=k))
             key = tuple(sorted(zip(s.parent_types.tolist(), s.parent_indices.tolist())))
             counts[key] += 1
         # pairs of (family, family): (0,0)x2 -> within family 0; etc.
@@ -83,21 +83,40 @@ class TestDrawFamilySample:
             assert idx.min() >= 0 and idx.max() < n
             assert (np.diff(idx) > 0).all()
 
+    def test_floyd_single_call_matches_scalar_draws(self):
+        # the one vectorized call draws exactly what r scalar calls drew
+        def scalar_floyd(rng, n, r):
+            chosen = set()
+            for j in range(n - r, n):
+                t = int(rng.integers(0, j + 1))
+                chosen.add(j if t in chosen else t)
+            return sorted(chosen)
+
+        for n, r in [(1, 1), (5, 0), (10, 10), (100, 7), (2**21, 400), (2**32 + 3, 300), (2**40, 400)]:
+            for s in range(3):
+                expected = scalar_floyd(np.random.default_rng(s), n, r)
+                got = _distinct_uniform_indices(np.random.default_rng(s), n, r)
+                assert got.tolist() == expected
+
     def test_matches_pair_oracle_at_small_scale(self, mitosis88):
-        # frequency of (X1, X2) both equal (1,1) vs the exact two-individual law
+        # every ordered cell (X1, X2) against the exact two-individual law;
+        # off-diagonal cells would expose a sample whose order is not random
         z_prev = (1, 1)
         oracle = g.pair_pmf_exact(mitosis88, z_prev)
-        target = oracle.prob_of((1, 1), (1, 1))
         reps = 20_000
-        hits = 0
+        hits = Counter()
         for k in range(reps):
             seed = SeedSpec(77, replicate=k)
-            stream = g.materialize_families(mitosis88, z_prev, seed)
-            s = g.draw_family_sample(stream, 2, seed)
-            if tuple(s.broods[0]) == (1, 1) and tuple(s.broods[1]) == (1, 1):
-                hits += 1
-        sd = math.sqrt(target * (1 - target) / reps)
-        assert abs(hits / reps - target) <= 4 * sd
+            view = g.sampling_view(g.simulate_aggregate(mitosis88, z_prev, 1, seed))
+            s = g.draw_family_sample(view, 2, seed)
+            hits[tuple(s.broods[0].tolist()), tuple(s.broods[1].tolist())] += 1
+        vectors = [tuple(v) for v in oracle.vectors.tolist()]
+        assert len(vectors) == 3
+        for u in vectors:
+            for v in vectors:
+                target = oracle.prob_of(u, v)
+                sd = math.sqrt(target * (1 - target) / reps)
+                assert abs(hits[u, v] / reps - target) <= 4 * sd, (u, v)
 
 
 class TestIsNonSibling:

@@ -3,6 +3,7 @@ import pytest
 
 import gwfam as g
 from gwfam.errors import PopulationOverflow
+from gwfam.sampling import _distinct_uniform_indices
 from gwfam.simulate import SeedSpec
 
 
@@ -97,6 +98,12 @@ class TestSimulateAggregate:
         with pytest.raises(PopulationOverflow):
             g.simulate_aggregate(mitosis88, (1, 1), 10, SeedSpec(1), population_cap=500)
 
+    def test_non_integral_z0_rejected(self, mitosis88):
+        with pytest.raises(ValueError):
+            g.simulate_aggregate(mitosis88, (1.5, 1), 3, SeedSpec(1))
+        trace = g.simulate_aggregate(mitosis88, (1.0, 1), 3, SeedSpec(1))
+        assert trace.z[0].tolist() == [1, 1]
+
     def test_zero_generations(self, mitosis88):
         trace = g.simulate_aggregate(mitosis88, (2, 3), 0, SeedSpec(1))
         assert trace.n == 0
@@ -110,56 +117,78 @@ class TestSimulateAggregate:
 
 
 class TestFamilyStream:
+    """The final transition's families, as seen through ``sampling_view``."""
+
     def test_tiny_counts_forced(self, mitosis88):
-        stream = g.materialize_families(mitosis88, (1, 1), SeedSpec(7))
-        records = list(stream)
-        assert len(records) == 2
-        assert [r.parent_type for r in records] == [0, 1]
-        assert all(r.size == 2 for r in records)
+        view = g.sampling_view(g.simulate_aggregate(mitosis88, (1, 1), 1, SeedSpec(7)))
+        assert [int(c.sum()) for c in view.brood_counts] == [1, 1]
+        assert view.child_totals().tolist() == [2, 2]
+        sample = g.draw_family_sample(view, 4)
+        ids = sorted(zip(sample.parent_types.tolist(), sample.parent_indices.tolist()))
+        assert ids == [(0, 0), (0, 0), (1, 0), (1, 0)]
 
     def test_replay_identical(self, rds):
-        stream = g.materialize_families(rds, (5, 5, 5, 5), SeedSpec(21), generation=2)
-        first = [(r.parent_type, r.parent_index, r.brood) for r in stream]
-        second = [(r.parent_type, r.parent_index, r.brood) for r in stream]
-        assert first == second
+        seed = SeedSpec(21)
+        first = g.sampling_view(g.simulate_aggregate(rds, (5, 5, 5, 5), 1, seed))
+        second = g.sampling_view(g.simulate_aggregate(rds, (5, 5, 5, 5), 1, seed))
+        for a, b in zip(first.brood_counts, second.brood_counts):
+            assert (a == b).all()
+        x = g.draw_family_sample(first, 30, seed)
+        y = g.draw_family_sample(second, 30, seed)
+        assert (x.broods == y.broods).all()
+        assert (x.parent_types == y.parent_types).all()
+        assert (x.parent_indices == y.parent_indices).all()
 
     def test_canonical_order(self, rds):
-        stream = g.materialize_families(rds, (3, 0, 2, 1), SeedSpec(22))
-        ids = [(r.parent_type, r.parent_index) for r in stream]
-        assert ids == [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (3, 0)]
+        # a census of every child finds each parent once per child, under
+        # ids 0..z_prev[i]-1 of its type, with one brood of that many members
+        view = g.sampling_view(g.simulate_aggregate(rds, (3, 0, 2, 1), 1, SeedSpec(22)))
+        sample = g.draw_family_sample(view, view.total_children())
+        families = {}
+        for t, p, brood in zip(
+            sample.parent_types.tolist(), sample.parent_indices.tolist(), sample.broods.tolist()
+        ):
+            families.setdefault((t, p), []).append(tuple(brood))
+        assert sorted(families) == [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (3, 0)]
+        for broods in families.values():
+            assert len(set(broods)) == 1
+            assert len(broods) == sum(broods[0])
 
     def test_aggregate_final_step_equals_materialization(self, rds):
         seed = SeedSpec(23, replicate=1)
         trace = g.simulate_aggregate(rds, (1, 1, 1, 1), 6, seed)
-        stream = g.materialize_families(rds, trace.z[5], seed, generation=5)
-        z6 = stream.next_generation()
-        assert (z6 == trace.z[6]).all()
-        assert (stream.child_totals() == trace.child_totals[5]).all()
+        view = g.sampling_view(trace)
         summed = np.zeros(4, dtype=np.int64)
-        for rec in stream:
-            summed += np.array(rec.brood)
+        for i, (counts, law) in enumerate(zip(view.brood_counts, rds.laws)):
+            assert counts.sum() == trace.z[5, i]
+            assert counts @ law.sizes == trace.child_totals[5, i]
+            summed += counts @ law.vectors
         assert (summed == trace.z[6]).all()
-
-    def test_chunk_size_does_not_change_stream(self, rds):
-        a = g.materialize_families(rds, (40, 40, 40, 40), SeedSpec(31), chunk=7)
-        b = g.materialize_families(rds, (40, 40, 40, 40), SeedSpec(31), chunk=1 << 19)
-        recs_a = [(r.parent_type, r.parent_index, r.brood) for r in a]
-        recs_b = [(r.parent_type, r.parent_index, r.brood) for r in b]
-        assert recs_a == recs_b
+        assert (view.child_totals() == trace.child_totals[5]).all()
+        assert view.total_children() == trace.totals()[6]
 
     def test_select_children_matches_iteration(self, rds):
-        stream = g.materialize_families(rds, (10, 10, 10, 10), SeedSpec(33), chunk=16)
-        # canonical child order, built the slow way
+        seed = SeedSpec(33)
+        view = g.sampling_view(g.simulate_aggregate(rds, (10, 10, 10, 10), 1, seed))
+        # the block layout built the slow way: type-major, support points in
+        # law order, family ids counted per parent type
         children = []
-        for rec in stream:
-            children.extend([(rec.parent_type, rec.parent_index, rec.brood)] * rec.size)
-        idx = np.array([0, 1, 5, 17, len(children) - 1], dtype=np.int64)
-        types, indices, broods = stream.select_children(idx)
-        for pos, i in enumerate(idx):
-            t, p, brood = children[int(i)]
-            assert types[pos] == t
-            assert indices[pos] == p
-            assert tuple(broods[pos].tolist()) == brood
+        for i, (counts, law) in enumerate(zip(view.brood_counts, rds.laws)):
+            family = 0
+            for c, v in zip(counts.tolist(), law.vectors):
+                for _ in range(c):
+                    children.extend([(i, family, tuple(v.tolist()))] * int(v.sum()))
+                    family += 1
+        assert len(children) == view.total_children()
+        r = len(children)
+        sample = g.draw_family_sample(view, r, seed)
+        rng = seed.sampling_stream(view.generation)
+        chosen = _distinct_uniform_indices(rng, r, r)[rng.permutation(r)]
+        for pos, i in enumerate(chosen.tolist()):
+            t, p, brood = children[i]
+            assert sample.parent_types[pos] == t
+            assert sample.parent_indices[pos] == p
+            assert tuple(sample.broods[pos].tolist()) == brood
 
 
 class TestKestenStigumDiagnostic:
