@@ -49,12 +49,12 @@ from .sampling import (
     PairPmf,
     SampleSizeRule,
     draw_family_sample,
-    elementary_symmetric,
     empirical_tv_to_limit,
     estimate_prob_distinct,
     is_non_sibling,
     pair_pmf_closed_form,
     pair_pmf_exact,
+    prob_distinct,
     prob_distinct_exact,
 )
 from .simulate import (

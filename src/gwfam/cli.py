@@ -18,9 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GwfamError
+from .errors import GwfamError, InvalidArgument
 from .estimators import mom_confidence, mom_estimates, plugin_variances
-from .experiment import ExperimentConfig, emit_histograms, preset, run_experiment
+from .experiment import (
+    PRESET_NAMES,
+    ExperimentConfig,
+    emit_histograms,
+    preset,
+    run_experiment,
+)
 from .models import parse_model_arg, validate_model
 from .sampling import (
     draw_family_sample,
@@ -39,7 +45,10 @@ from .spectral import (
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidArgument(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _open_out(path: str | None):
@@ -87,8 +96,7 @@ def _cmd_spectral(args) -> int:
     pair = perron(m)
     var = asymptotic_variances(model, pair)
     ps = size_biased_pmf(model, pair)
-    k_bound = model.inverse_moment_bound
-    max_alpha = -np.log(k_bound) / np.log(pair.rho) if pair.rho > 1 else None
+    max_alpha = validate_model(model).max_alpha
     if args.json:
         print(
             json.dumps(
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a replication experiment")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=["table1", "table2", "pdn-trend"])
+    group.add_argument("--preset", choices=PRESET_NAMES)
     group.add_argument("--config", help="experiment config JSON file")
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.add_argument("--seed", type=int, default=None)
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("preset", help="print a preset experiment config as JSON")
-    p.add_argument("name", choices=["table1", "table2", "pdn-trend"])
+    p.add_argument("name", choices=PRESET_NAMES)
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.set_defaults(func=_cmd_preset)
 

@@ -25,6 +25,11 @@ class ParameterOutOfRange(GwfamError):
     """A builtin-model parameter is outside its valid open interval."""
 
 
+class InvalidArgument(GwfamError, ValueError):
+    """An input value is malformed: a non-integral count, a non-numeric
+    parameter, or a model or parameter name that does not exist."""
+
+
 class NotPositivelyRegular(GwfamError):
     """The reproduction matrix has no strictly positive power."""
 

@@ -23,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GwfamError, MalformedCsv, UnknownPreset
+from .errors import GwfamError, InvalidArgument, MalformedCsv, UnknownPreset
 from .estimators import (
+    _normal_quantile,
     amle_fit,
     mitosis_closed_form,
     mitosis_counts,
@@ -36,7 +37,7 @@ from .sampling import (
     SampleSizeRule,
     draw_family_sample,
     is_non_sibling,
-    prob_distinct_exact,
+    prob_distinct,
 )
 from .simulate import SeedSpec, sampling_view, simulate_aggregate
 from .spectral import asymptotic_variances, perron, reproduction_matrix
@@ -65,6 +66,8 @@ class ExperimentCell:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentCell":
+        if not all(isinstance(x, (int, float)) and float(x).is_integer() for x in d["z0"]):
+            raise InvalidArgument(f"z0 must hold integer counts, got {d['z0']}")
         return ExperimentCell(
             label=str(d["label"]),
             model_spec=d["model"],
@@ -161,7 +164,8 @@ def _replicate_row(task: tuple) -> dict:
     if estimator == "mitosis_closed_form":
         n1, nb, n2 = mitosis_counts(sample)
         est = mitosis_closed_form(n1, nb, n2, r)
-        half = _normal_half_width(payload["ci_level"], var.ratio_covariance[0, 0], r)
+        z = _normal_quantile(payload["ci_level"])
+        half = z * math.sqrt(var.ratio_covariance[0, 0] / r)
         row.update(
             alpha_hat=est.alpha_hat,
             theta_hat=est.theta_hat,
@@ -195,19 +199,11 @@ def _replicate_row(task: tuple) -> dict:
             converged=int(fit.converged),
         )
     elif estimator == "prob_distinct":
-        row["prob_distinct"] = float(
-            prob_distinct_exact(trace.family_size_counts(), r)
-        )
+        row["prob_distinct"] = prob_distinct(trace.family_size_counts(), r)
         row["r"] = r
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     return row
-
-
-def _normal_half_width(level: float, variance: float, r: int) -> float:
-    from statistics import NormalDist
-
-    return NormalDist().inv_cdf((1.0 + level) / 2.0) * math.sqrt(variance / r)
 
 
 # --- the harness -----------------------------------------------------------
@@ -330,6 +326,7 @@ def _write_failure_manifest(out_dir: Path, config, cell, exc: Exception) -> None
 # --- presets ---------------------------------------------------------------
 
 TABLE1_GRID = ((0.8, 0.8), (0.8, 0.9), (0.9, 0.7), (0.9, 0.9))
+PRESET_NAMES = ("table1", "table2", "pdn-trend", "pdn-rds")
 
 
 def preset(name: str, scale: str = "desk") -> ExperimentConfig:
@@ -341,6 +338,8 @@ def preset(name: str, scale: str = "desk") -> ExperimentConfig:
     desk scale trims the depth to n = 14.
     ``pdn-trend``: exact-conditional non-sibling probabilities across
     n = 8..14 under the r_n = n^2 rule.
+    ``pdn-rds``: the same on the referral-survey model from one seed per
+    group, n = 12..20, where families have ten different sizes.
 
     ``scale="desk"`` keeps replicate counts laptop-friendly;
     ``scale="paper"`` restores the full 1000-replicate, n = 20 protocol.
@@ -404,7 +403,25 @@ def preset(name: str, scale: str = "desk") -> ExperimentConfig:
             master_seed=20_08_03,
             estimator="prob_distinct",
         )
-    raise UnknownPreset(f"unknown preset {name!r}; have table1, table2, pdn-trend")
+    if name == "pdn-rds":
+        cells = tuple(
+            ExperimentCell(
+                label=f"n{n:02d}",
+                model_spec={"builtin": "rds"},
+                z0=(1, 1, 1, 1),
+                n=n,
+                rule=rule,
+            )
+            for n in (12, 14, 16, 18, 20)
+        )
+        return ExperimentConfig(
+            name="pdn-rds",
+            cells=cells,
+            replicates=50 if desk else 200,
+            master_seed=20_08_04,
+            estimator="prob_distinct",
+        )
+    raise UnknownPreset(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
 
 
 # --- histograms ------------------------------------------------------------

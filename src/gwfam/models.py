@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateSupportPoint,
+    InvalidArgument,
     ParameterOutOfRange,
     ProbabilitiesDontSumToOne,
     ZeroVectorInSupport,
@@ -366,10 +367,18 @@ BUILTIN_MODELS = {"mitosis": mitosis_model, "rds": rds_model}
 
 
 def builtin_model(name: str, **params) -> BranchingModel:
+    import inspect
+
     try:
         factory = BUILTIN_MODELS[name]
     except KeyError:
-        raise ValueError(f"unknown builtin model {name!r}; have {sorted(BUILTIN_MODELS)}")
+        raise InvalidArgument(
+            f"unknown builtin model {name!r}; have {sorted(BUILTIN_MODELS)}"
+        ) from None
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise InvalidArgument(f"builtin model {name!r}: {exc}") from None
     return factory(**params)
 
 
@@ -419,9 +428,14 @@ def parse_model_arg(text: str) -> BranchingModel:
         params = {}
         if tail:
             for item in tail.split(","):
-                key, _, val = item.partition("=")
-                if not _:
-                    raise ValueError(f"malformed model parameter {item!r}")
-                params[key.strip()] = float(val)
+                key, eq, val = item.partition("=")
+                try:
+                    if not eq:
+                        raise ValueError
+                    params[key.strip()] = float(val)
+                except ValueError:
+                    raise InvalidArgument(
+                        f"malformed model parameter {item!r}; expected key=number"
+                    ) from None
         return builtin_model(head, **params)
     return load_model(text)

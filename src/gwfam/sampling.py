@@ -7,11 +7,12 @@ parents share a type are exchangeable, so the children are laid out in one
 block per (type, support point) and a uniform r-subset of them is drawn by
 index. The cost does not depend on the population size.
 
-The oracles are exact: the probability that a sample hits r distinct
-families given realized family sizes is an elementary-symmetric-polynomial
-ratio in big-integer arithmetic, and the two-individual joint law is
-enumerated exhaustively at small scale (with an independent closed-form
-evaluator to check it against).
+The probability that a sample hits r distinct families given the realized
+family sizes, e_r(sizes) / C(N, r), is what the estimators run, in floats
+that are exact to rounding (``prob_distinct``). The oracles are exact: the
+same ratio in big-integer arithmetic (``prob_distinct_exact``), and the
+two-individual joint law enumerated exhaustively at small scale (with an
+independent closed-form evaluator to check it against).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import (
     EnumerationTooLarge,
     InvalidSampleSize,
+    NotPositivelyRegular,
     SampleExceedsPopulation,
 )
 from .simulate import SamplingView, SeedSpec, simulate_aggregate
@@ -164,21 +166,112 @@ class SampleSizeRule:
 
 
 # ---------------------------------------------------------------------------
-# Exact probability of hitting r distinct families
+# Probability of hitting r distinct families
 # ---------------------------------------------------------------------------
 
+# Binomial rows are built in runs of this many ratios, so the running
+# product of mantissas in [1/2, 1) stays a normal float.
+_BINOMIAL_RUN = 512
+# Base-2 exponent standing for "no mass" in a binomial row.
+_NO_MASS = -(1 << 30)
 
-def elementary_symmetric(values: Sequence[int], r: int) -> int:
-    """e_r of integer values by the O(m*r) dynamic program, exactly."""
-    if r < 0:
-        raise InvalidSampleSize("order must be >= 0")
-    e = [0] * (r + 1)
-    e[0] = 1
-    for c in values:
-        c = int(c)
-        for k in range(min(r, len(values)), 0, -1):
-            e[k] += e[k - 1] * c
-    return e[r]
+
+def _size_counts(
+    family_sizes: Sequence[int] | dict[int, int], r: int
+) -> tuple[dict[int, int], int]:
+    # The {size: count} multiset of a size list or multiset, and r, checked.
+    if isinstance(family_sizes, dict):
+        counts = {int(s): int(c) for s, c in family_sizes.items() if c}
+    else:
+        counts = dict(Counter(int(s) for s in family_sizes))
+    if any(s < 1 for s in counts):
+        raise ValueError("family sizes must be positive")
+    r = int(r)
+    n_total = sum(s * c for s, c in counts.items())
+    if r < 0 or r > n_total:
+        raise InvalidSampleSize(f"r = {r} outside [0, {n_total}]")
+    return counts, r
+
+
+def prob_distinct(family_sizes: Sequence[int] | dict[int, int], r: int) -> float:
+    """P(all r sampled individuals come from distinct families | sizes), in floats.
+
+    The same e_r(sizes) / C(N, r) as ``prob_distinct_exact``, with the same
+    inputs and errors, exact to a few units of rounding. Size groups are
+    merged one at a time, carrying q_k = e_k(merged) / C(N_merged, k) for
+    k <= r, which lies in [0, 1]. Adding c families of size s, B = s c
+    children, to A children already merged gives
+
+        q'_k = sum_j H_k(j) q_{k-j} rho_j,
+
+    with H_k the hypergeometric pmf of j children out of B among k drawn
+    from A + B, and rho_j = prod_{i<j} (c - i) s / (B - i) the probability
+    that j children drawn from the group come from distinct families (0 for
+    j > c). Every term is nonnegative, so nothing cancels. H_k(j) is
+    proportional to C(A, k - j) C(B, j): both binomial rows are built from
+    their successive ratios as mantissa and base-2 exponent, so no row
+    overflows, and H_k is normalised by its sum over its full support.
+    Work is O(r^2) per size group and does not depend on N.
+    """
+    counts, r = _size_counts(family_sizes, r)
+    if r <= 1:
+        return 1.0
+    groups = sorted(counts.items())
+    # A later group reaches back at most c rows (rho_j = 0 for j > c), so
+    # each merge needs rows from `lowest` up only; the last needs row r.
+    lowest = [r]
+    for _, c in reversed(groups[1:]):
+        lowest.append(max(lowest[-1] - c, 0))
+    q = np.ones(1)
+    merged = 0
+    for (s, c), k_from in zip(groups, reversed(lowest)):
+        top = min(merged + s * c, r)
+        q_next = np.zeros(top + 1)
+        q_next[k_from:] = _merge_size_group(q, merged, s, c, k_from, top)
+        q = q_next
+        merged += s * c
+    return float(q[r])
+
+
+def _merge_size_group(q: np.ndarray, a: int, s: int, c: int, k_from: int, top: int) -> np.ndarray:
+    # q'_k for k = k_from..top after adding c families of size s to the `a`
+    # children merged so far. Column t of each matrix holds j = width - 1 - t,
+    # so every C(a, k - j) matrix is a forward sliding window over a padded row.
+    b = s * c
+    width = min(b, top) + 1
+    mant_a, exp_a = _binomial_row(a, min(a, top))
+    mant_b, exp_b = _binomial_row(b, width - 1)
+    rows = slice(k_from, top + 1)
+    expo = _lagged(exp_a, top, width, _NO_MASS)[rows] + exp_b[::-1]
+    expo -= expo.max(axis=1, keepdims=True)
+    h = _lagged(mant_a, top, width, 0.0)[rows] * mant_b[::-1]
+    np.ldexp(h, expo, out=h)
+    i = np.arange(width - 1.0)
+    rho = np.concatenate(([1.0], np.cumprod(np.maximum(c - i, 0.0) * s / (b - i))))
+    weighted = np.einsum("kt,kt,t->k", h, _lagged(q, top, width, 0.0)[rows], rho[::-1])
+    return weighted / h.sum(axis=1)
+
+
+def _binomial_row(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # C(n, i) for i = 0..m as mantissa * 2**exponent, from the ratios
+    # C(n, i + 1) / C(n, i) = (n - i) / (i + 1).
+    frac, expo = np.frexp((n - np.arange(m)) / np.arange(1.0, m + 1))
+    mant = np.empty(m + 1)
+    exps = np.empty(m + 1, dtype=np.int32)
+    mant[0], exps[0] = 0.5, 1
+    for lo in range(0, m, _BINOMIAL_RUN):
+        run = slice(lo, lo + _BINOMIAL_RUN)
+        f, e = np.frexp(mant[lo] * np.cumprod(frac[run]))
+        mant[lo + 1 : lo + 1 + f.size] = f
+        exps[lo + 1 : lo + 1 + f.size] = exps[lo] + np.cumsum(expo[run]) + e
+    return mant, exps
+
+
+def _lagged(x: np.ndarray, top: int, width: int, fill) -> np.ndarray:
+    # Rows k = 0..top, column t = x[k - (width - 1 - t)], `fill` outside x.
+    padded = np.full(top + width, fill, dtype=x.dtype)
+    padded[width - 1 : width - 1 + min(x.size, top + 1)] = x[: top + 1]
+    return np.lib.stride_tricks.sliding_window_view(padded, width)
 
 
 def _esp_of_multiset(size_counts: dict[int, int], r: int) -> int:
@@ -207,18 +300,10 @@ def prob_distinct_exact(family_sizes: Sequence[int] | dict[int, int], r: int) ->
     computed in exact rational arithmetic. Accepts either a list of sizes or
     a {size: count} multiset.
     """
-    if isinstance(family_sizes, dict):
-        counts = {int(s): int(c) for s, c in family_sizes.items() if c}
-    else:
-        counts = dict(Counter(int(s) for s in family_sizes))
-    if any(s < 1 for s in counts):
-        raise ValueError("family sizes must be positive")
-    r = int(r)
-    n_total = sum(s * c for s, c in counts.items())
-    if r < 0 or r > n_total:
-        raise InvalidSampleSize(f"r = {r} outside [0, {n_total}]")
+    counts, r = _size_counts(family_sizes, r)
     if r <= 1:
         return Fraction(1)
+    n_total = sum(s * c for s, c in counts.items())
     return Fraction(_esp_of_multiset(counts, r), math.comb(n_total, r))
 
 
@@ -248,29 +333,31 @@ def estimate_prob_distinct(
     """Rao-Blackwellized estimate of the non-sibling probability at generation n.
 
     Each replicate simulates the tree to generation n and evaluates the
-    *exact* conditional probability given the realized family sizes rather
-    than a 0/1 sibling indicator, which removes all within-tree sampling
-    noise. The rate diagnostic reports rho^(alpha n) r^-2 (1 - estimate) at
-    alpha = half the largest valid exponent.
+    conditional probability given the realized family sizes
+    (``prob_distinct``, exact to rounding) rather than a 0/1 sibling
+    indicator, which removes all within-tree sampling noise. The rate
+    diagnostic reports rho^(alpha n) r^-2 (1 - estimate) at alpha = half the
+    model's ``max_alpha`` (NaN when the model is not supercritical).
     """
-    from .spectral import perron, reproduction_matrix
+    from .estimators import _normal_quantile
+    from .models import validate_model
 
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    report = validate_model(model)
+    if report.rho is None:
+        raise NotPositivelyRegular("reproduction matrix has no strictly positive power")
     r = rule.sample_size(n)
     values = []
     for k in range(replicates):
         trace = simulate_aggregate(model, z0, n, seed.with_replicate(k))
-        values.append(float(prob_distinct_exact(trace.family_size_counts(), r)))
+        values.append(prob_distinct(trace.family_size_counts(), r))
     values_arr = np.array(values)
     estimate = float(values_arr.mean())
     sd = float(values_arr.std(ddof=1)) if replicates > 1 else 0.0
-    half = 1.959963984540054 * sd / math.sqrt(replicates)
-    pair = perron(reproduction_matrix(model))
-    k_bound = model.inverse_moment_bound
-    max_alpha = -math.log(k_bound) / math.log(pair.rho)
-    alpha = max_alpha / 2.0
-    rate = pair.rho ** (alpha * n) * r ** (-2.0) * (1.0 - estimate)
+    half = _normal_quantile(0.95) * sd / math.sqrt(replicates)
+    alpha = report.max_alpha / 2.0 if report.max_alpha is not None else math.nan
+    rate = report.rho ** (alpha * n) * r ** (-2.0) * (1.0 - estimate)
     return NonSiblingEstimate(
         estimate=estimate,
         ci=(estimate - half, estimate + half),
@@ -279,7 +366,7 @@ def estimate_prob_distinct(
         n=n,
         r=r,
         replicates=replicates,
-        validity=rule.validity(n, pair.rho),
+        validity=rule.validity(n, report.rho),
         per_replicate=tuple(values),
     )
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import PopulationOverflow
+from .errors import InvalidArgument, PopulationOverflow
 
 if TYPE_CHECKING:
     from .models import BranchingModel
@@ -126,9 +126,12 @@ def simulate_aggregate(
     raw = np.asarray(z0)
     z0 = raw.astype(np.int64)
     if z0.shape != (model.n_types,) or np.any(z0 != raw) or np.any(z0 < 0) or z0.sum() < 1:
-        raise ValueError("z0 must be a nonnegative integer type-count vector with |z0| >= 1")
+        raise InvalidArgument(
+            f"z0 must be a nonnegative integer count per type ({model.n_types} types) "
+            "with |z0| >= 1"
+        )
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidArgument("n must be >= 0")
     z_hist = np.zeros((n + 1, model.n_types), dtype=np.int64)
     s_hist = np.zeros((n, model.n_types), dtype=np.int64)
     z_hist[0] = z0

@@ -69,7 +69,8 @@ def perron(m: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
     Power iteration runs on the transpose so the LEFT eigenvector of ``m`` is
     produced; iterates are L1-normalized, the eigenvalue is the Rayleigh
     ratio of the last iterate, and the result is rejected if the residual
-    ||b^T m - rho b^T||_1 exceeds 1e-10.
+    ||b^T m - rho b^T||_1 exceeds 1e-10 rho (the residual scales with the
+    matrix, so the gate does too).
 
     The operator is squared (and rescaled) after every step, so the
     effective power doubles each iteration and convergence does not depend
@@ -97,7 +98,7 @@ def perron(m: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
     ax = a @ x
     rho = float((x @ ax) / (x @ x))
     residual = float(np.abs(ax - rho * x).sum())
-    if residual > RESIDUAL_TOL:
+    if residual > RESIDUAL_TOL * rho:
         raise ConvergenceFailure(
             f"power iteration stalled after {iterations} iterations "
             f"(residual {residual:.3e}); matrix may be periodic"

@@ -22,7 +22,11 @@ import gwfam as g
 from gwfam.experiment import ExperimentCell, ExperimentConfig
 from gwfam.sampling import SampleSizeRule
 from gwfam.simulate import SeedSpec
-from tests_support import mitosis_prob_distinct, random_primitive_model
+from tests_support import (
+    all_family_size_lists,
+    mitosis_prob_distinct,
+    random_primitive_model,
+)
 
 TABLE1_PAIRS = [(0.8, 0.8), (0.8, 0.9), (0.9, 0.7), (0.9, 0.9)]
 TABLE1_B1 = [0.5, 2.0 / 3.0, 0.25, 0.5]
@@ -186,21 +190,6 @@ def test_criterion_05_size_biased_identity_suite():
         f"max |mass-1|={worst_mass:.2e} max inv gap={worst_inv:.2e} "
         f"max ratio gap={worst_ratio:.2e} over 50 random models",
     )
-
-
-def all_family_size_lists(max_families=8, max_total=16):
-    """Every multiset of positive family sizes with m <= 8 and total <= 16."""
-    out = []
-
-    def extend(prefix, remaining, smallest):
-        out.append(tuple(prefix))
-        if len(prefix) == max_families:
-            return
-        for s in range(smallest, remaining + 1):
-            extend(prefix + [s], remaining - s, s)
-
-    extend([], max_total, 1)
-    return [sizes for sizes in out if sizes]
 
 
 def test_criterion_06_non_sibling_oracle_equivalence():

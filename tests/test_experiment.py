@@ -10,6 +10,7 @@ import pytest
 
 import gwfam as g
 from gwfam.errors import GwfamError, MalformedCsv, UnknownPreset
+from gwfam.cli import main
 from gwfam.experiment import ExperimentCell, ExperimentConfig
 from gwfam.sampling import SampleSizeRule
 
@@ -74,6 +75,32 @@ class TestRunExperiment:
         assert {"rho_hat", "rho_lo", "rho_hi", "b1", "b2", "b1_lo"} <= set(rows[0])
         assert summary.value("cell0", "b1", "theoretical") == pytest.approx(0.5)
 
+    def test_prob_distinct_row_is_the_float_path(self, tmp_path):
+        cfg = dataclasses.replace(
+            tiny_config(tmp_path, estimator="prob_distinct", replicates=3),
+            cells=(
+                ExperimentCell(
+                    label="rds",
+                    model_spec={"builtin": "rds"},
+                    z0=(1, 1, 1, 1),
+                    n=8,
+                    rule=SampleSizeRule(),
+                ),
+            ),
+        )
+        summary = g.run_experiment(cfg)
+        rows = read_csv(summary.per_replicate_paths["rds"])
+        model = g.rds_model()
+        for row in rows:
+            seed = g.SeedSpec(
+                g.SeedSpec.cell_master(cfg.master_seed, 0), replicate=int(row["replicate"])
+            )
+            trace = g.simulate_aggregate(model, (1, 1, 1, 1), 8, seed)
+            counts = trace.family_size_counts()
+            assert float(row["prob_distinct"]) == g.prob_distinct(counts, 64)
+            exact = g.prob_distinct_exact(counts, 64)
+            assert abs(float(row["prob_distinct"]) - exact) <= 1e-12 * exact
+
     def test_prob_distinct_estimator(self, tmp_path):
         cfg = tiny_config(tmp_path, estimator="prob_distinct", replicates=3)
         summary = g.run_experiment(cfg)
@@ -92,6 +119,14 @@ class TestRunExperiment:
             g.run_experiment(cfg)
         manifest = json.loads((tmp_path / "tiny__FAILED.json").read_text())
         assert manifest["failed_cell"] == "cell0"
+
+    def test_non_integral_z0_in_config_rejected(self, tmp_path):
+        spec = tiny_config(tmp_path).cells[0].to_dict()
+        spec["z0"] = [1.5, 1]
+        with pytest.raises(GwfamError, match="z0"):
+            ExperimentCell.from_dict(spec)
+        spec["z0"] = [1.0, 1]
+        assert ExperimentCell.from_dict(spec).z0 == (1, 1)
 
     def test_no_replicates_rejected_before_any_work(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -143,6 +178,30 @@ class TestPresets:
         cfg = g.preset("pdn-trend")
         assert [c.n for c in cfg.cells] == [8, 10, 12, 14]
         assert cfg.estimator == "prob_distinct"
+
+    def test_pdn_rds(self):
+        cfg = g.preset("pdn-rds")
+        assert [c.n for c in cfg.cells] == [12, 14, 16, 18, 20]
+        assert {c.model_spec["builtin"] for c in cfg.cells} == {"rds"}
+        assert {c.z0 for c in cfg.cells} == {(1, 1, 1, 1)}
+        assert [c.rule.sample_size(c.n) for c in cfg.cells] == [144, 196, 256, 324, 400]
+        assert cfg.estimator == "prob_distinct"
+        assert g.preset("pdn-rds", scale="paper").replicates == 200
+
+    def test_pdn_rds_runs(self, tmp_path):
+        cfg = dataclasses.replace(g.preset("pdn-rds"), replicates=2, out_dir=Path(tmp_path))
+        summary = g.run_experiment(cfg)
+        assert len(summary.per_replicate_paths) == 5
+        for cell in cfg.cells:
+            rows = read_csv(summary.per_replicate_paths[cell.label])
+            assert [int(r["replicate"]) for r in rows] == [0, 1]
+            assert all(0.0 < float(r["prob_distinct"]) < 1.0 for r in rows)
+            assert all(int(r["r"]) == cell.n**2 for r in rows)
+        # r^2 rho^-n falls from 0.81 at n = 12 to 0.0073 at n = 20
+        rho = g.perron(g.reproduction_matrix(g.rds_model())).rho
+        validity = [c.rule.validity(c.n, rho) for c in cfg.cells]
+        assert all(a > b for a, b in zip(validity, validity[1:]))
+        assert validity[0] < 1 and validity[-1] < 0.01
 
     def test_unknown(self):
         with pytest.raises(UnknownPreset):
@@ -288,6 +347,23 @@ class TestCli:
         res = run_cli("oracle", "distinct", "--sizes", "2,2", "--r", "9")
         assert res.returncode == 1
         assert "error:" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("validate", "--model", "mitosis:alpha=0.5,gamma=0.5"),
+            ("validate", "--model", "mitosis:alpha=0.5"),
+            ("validate", "--model", "mitosis:alpha=x,theta=0.5"),
+            ("validate", "--model", "mitosis:alpha"),
+            ("simulate", "--model", "rds", "--z0", "1.5,1,1,1", "--n", "3", "--seed", "1"),
+            ("simulate", "--model", "rds", "--z0", "1,1", "--n", "3", "--seed", "1"),
+            ("oracle", "distinct", "--sizes", "2,x", "--r", "2"),
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, args, capsys):
+        assert main(list(args)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_invalid_model_flagged(self, tmp_path):
         path = tmp_path / "bad.json"

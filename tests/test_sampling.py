@@ -16,7 +16,11 @@ from gwfam.errors import (
 )
 from gwfam.sampling import SampleSizeRule, _distinct_uniform_indices
 from gwfam.simulate import SeedSpec
-from tests_support import mitosis_prob_distinct
+from tests_support import (
+    all_family_size_lists,
+    elementary_symmetric,
+    mitosis_prob_distinct,
+)
 
 
 def brute_force_prob_distinct(sizes, r) -> Fraction:
@@ -183,12 +187,88 @@ class TestProbDistinctExact:
         for _ in range(50):
             sizes = rng.integers(1, 6, size=rng.integers(1, 10)).tolist()
             r = int(rng.integers(0, len(sizes) + 1))
-            e_dp = g.elementary_symmetric(sizes, r)
+            e_dp = elementary_symmetric(sizes, r)
             total = sum(sizes)
             if r <= total:
                 assert g.prob_distinct_exact(sizes, r) == Fraction(
                     e_dp, math.comb(total, r)
                 )
+
+
+def relative_gap(value: float, exact: Fraction) -> float:
+    if exact == 0:
+        return abs(value)
+    return float(abs(Fraction(value) - exact) / exact)
+
+
+# The float path against the big-integer oracle; the benchmark's replay
+# gate is the same 1e-12.
+PROB_REL_GATE = 1e-12
+
+
+class TestProbDistinct:
+    def test_spot_values(self):
+        assert g.prob_distinct([2, 1, 3], 2) == pytest.approx(11 / 15, rel=1e-15)
+        assert g.prob_distinct([1, 1, 1], 3) == 1.0
+        assert g.prob_distinct([3], 2) == 0.0
+        assert g.prob_distinct({2: 8}, 2) == pytest.approx(14 / 15, rel=1e-15)
+        assert g.prob_distinct({5: 2, 7: 0}, 1) == 1.0
+        assert isinstance(g.prob_distinct({2: 8}, 2), float)
+
+    def test_same_errors_as_exact(self):
+        for sizes, r, error in [
+            ([2, 2], 5, InvalidSampleSize),
+            ([2, 2], -1, InvalidSampleSize),
+            ({2: 3}, 7, InvalidSampleSize),
+            ([0, 2], 1, ValueError),
+            ({-1: 2}, 1, ValueError),
+        ]:
+            with pytest.raises(error):
+                g.prob_distinct_exact(sizes, r)
+            with pytest.raises(error):
+                g.prob_distinct(sizes, r)
+
+    def test_criterion_06_size_lists(self):
+        worst = 0.0
+        for sizes in all_family_size_lists():
+            for r in range(0, min(4, sum(sizes)) + 1):
+                gap = relative_gap(g.prob_distinct(sizes, r), g.prob_distinct_exact(sizes, r))
+                worst = max(worst, gap)
+        assert worst <= PROB_REL_GATE
+
+    @given(
+        st.dictionaries(st.integers(1, 12), st.integers(1, 50), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_on_random_multisets(self, counts, data):
+        r = data.draw(st.integers(0, sum(s * c for s, c in counts.items())), label="r")
+        exact = g.prob_distinct_exact(counts, r)
+        assert relative_gap(g.prob_distinct(counts, r), exact) <= PROB_REL_GATE
+
+    def test_long_binomial_rows_and_tiny_values(self):
+        # rows longer than one 512-ratio run, and probabilities far below
+        # the hypothesis draws' typical range
+        for counts, r in [({1: 300, 2: 300, 5: 200}, 700), ({2: 2000}, 1300)]:
+            exact = g.prob_distinct_exact(counts, r)
+            assert 0 < exact < 1e-100
+            assert relative_gap(g.prob_distinct(counts, r), exact) <= PROB_REL_GATE
+
+    def test_matches_mitosis_closed_form(self):
+        # 2^n families of two children: one size group, so this is the
+        # group's own distinct-draw product rho_r alone
+        for n in range(8, 21):
+            got = g.prob_distinct({2: 2**n}, n * n)
+            assert relative_gap(got, mitosis_prob_distinct(n, n * n)) <= PROB_REL_GATE
+
+    def test_matches_exact_on_rds_at_paper_depth(self, rds):
+        # |Z_20| is about 1e8 over ten family sizes; r = 400
+        for k in range(3):
+            trace = g.simulate_aggregate(rds, (1, 1, 1, 1), 20, SeedSpec(2020, replicate=k))
+            counts = trace.family_size_counts()
+            assert len(counts) == 10
+            exact = g.prob_distinct_exact(counts, 400)
+            assert relative_gap(g.prob_distinct(counts, 400), exact) <= PROB_REL_GATE
 
 
 class TestEstimateProbDistinct:

@@ -81,6 +81,17 @@ class TestPerron:
         assert abs(pair.b.sum() - 1.0) <= 1e-12
         assert (pair.b >= 0).all()
 
+    def test_residual_gate_scales_with_rho(self):
+        # entries near 1e7: the absolute residual of a converged pair is
+        # about 1e-8, far above 1e-10 but tiny next to rho
+        m = np.array([[3e7, 1e6], [7e5, 4e7]])
+        pair = g.perron(m)
+        assert pair.rho == pytest.approx(max(np.linalg.eigvals(m).real), rel=1e-12)
+        assert pair.residual <= 1e-10 * pair.rho
+        small = g.perron(m / 1e7)
+        assert pair.rho == pytest.approx(1e7 * small.rho, rel=1e-12)
+        assert np.abs(pair.b - small.b).max() <= 1e-12
+
     def test_not_positively_regular_raises(self):
         with pytest.raises(NotPositivelyRegular):
             g.perron(np.array([[0.0, 1.0], [1.0, 0.0]]))

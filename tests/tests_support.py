@@ -59,3 +59,31 @@ def mitosis_prob_distinct(n, r):
     for a in range(r):
         p *= Fraction(total - 2 * a, total - a)
     return p
+
+
+def elementary_symmetric(values, r):
+    """e_r of integer values by the O(m*r) dynamic program, exactly."""
+    if r < 0:
+        raise ValueError("order must be >= 0")
+    e = [0] * (r + 1)
+    e[0] = 1
+    for c in values:
+        c = int(c)
+        for k in range(min(r, len(values)), 0, -1):
+            e[k] += e[k - 1] * c
+    return e[r]
+
+
+def all_family_size_lists(max_families=8, max_total=16):
+    """Every multiset of positive family sizes with m <= 8 and total <= 16."""
+    out = []
+
+    def extend(prefix, remaining, smallest):
+        out.append(tuple(prefix))
+        if len(prefix) == max_families:
+            return
+        for s in range(smallest, remaining + 1):
+            extend(prefix + [s], remaining - s, s)
+
+    extend([], max_total, 1)
+    return [sizes for sizes in out if sizes]
