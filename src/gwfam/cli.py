@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GwfamError, InvalidArgument
+from .errors import GwfamError, InvalidArgument, MalformedCsv
 from .estimators import mom_confidence, mom_estimates, plugin_variances
 from .experiment import (
     PRESET_NAMES,
@@ -26,6 +26,7 @@ from .experiment import (
     emit_histograms,
     preset,
     run_experiment,
+    write_csv,
 )
 from .models import parse_model_arg, validate_model
 from .sampling import (
@@ -51,37 +52,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InvalidArgument(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _write_rows(out_path: str | None, header: list[str], rows) -> None:
-    fh = _open_out(out_path)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-
-
 def _cmd_validate(args) -> int:
     model = parse_model_arg(args.model)
     report = validate_model(model)
-    payload = {
-        "assumption1_ok": report.assumption1_ok,
-        "assumption2_ok": report.assumption2_ok,
-        "positively_regular": report.positively_regular,
-        "second_moment_bound": report.second_moment_bound,
-        "inverse_moment_bound": report.inverse_moment_bound,
-        "rho": report.rho,
-        "max_alpha": report.max_alpha,
-        "messages": list(report.messages),
-    }
+    payload = {**dataclasses.asdict(report), "messages": list(report.messages)}
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -134,7 +108,7 @@ def _cmd_simulate(args) -> int:
         for i, name in enumerate(model.type_names):
             children = int(trace.child_totals[k, i]) if k < trace.n else ""
             rows.append((k, name, int(trace.z[k, i]), children))
-    _write_rows(args.out, ["generation", "type", "count", "children"], rows)
+    write_csv(args.out, ["generation", "type", "count", "children"], rows)
     return 0
 
 
@@ -149,18 +123,11 @@ def _cmd_sample(args) -> int:
         trace = simulate_aggregate(model, _parse_ints(args.z0), args.n, seed)
         sample = draw_family_sample(sampling_view(trace), args.r, seed)
         flag = int(is_non_sibling(sample))
-        for j in range(sample.r):
-            rows.append(
-                (
-                    rep,
-                    j,
-                    int(sample.parent_types[j]),
-                    int(sample.parent_indices[j]),
-                    flag,
-                )
-                + tuple(int(x) for x in sample.broods[j])
-            )
-    _write_rows(args.out, header, rows)
+        records = zip(
+            sample.parent_types.tolist(), sample.parent_indices.tolist(), sample.broods.tolist()
+        )
+        rows.extend((rep, j, t, i, flag, *b) for j, (t, i, b) in enumerate(records))
+    write_csv(args.out, header, rows)
     return 0
 
 
@@ -169,13 +136,9 @@ def _cmd_estimate(args) -> int:
         reader = csv.DictReader(fh)
         brood_cols = [c for c in reader.fieldnames or [] if c.startswith("brood_")]
         if not brood_cols:
-            from .errors import MalformedCsv
-
             raise MalformedCsv(f"{args.input}: no brood_* columns found")
         broods = [[int(row[c]) for c in brood_cols] for row in reader]
     if not broods:
-        from .errors import MalformedCsv
-
         raise MalformedCsv(f"{args.input}: no data rows")
     broods = np.array(broods, dtype=np.int64)
     est = mom_estimates(broods)
@@ -200,27 +163,22 @@ def _cmd_estimate(args) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        rows = [("rho", est.rho_hat, est.ci_rho[0], est.ci_rho[1])]
-        for i, name in enumerate(brood_cols):
-            rows.append(
-                (
-                    name.removeprefix("brood_"),
-                    float(est.ratio_means[i]),
-                    float(est.ci_b[i, 0]),
-                    float(est.ci_b[i, 1]),
-                )
-            )
-        _write_rows(args.out, ["estimand", "estimate", "lo", "hi"], rows)
+        rows = [("rho", est.rho_hat, *est.ci_rho)] + [
+            (name.removeprefix("brood_"), b, lo, hi)
+            for name, b, (lo, hi) in zip(brood_cols, est.ratio_means.tolist(), est.ci_b.tolist())
+        ]
+        write_csv(args.out, ["estimand", "estimate", "lo", "hi"], rows)
     return 0
 
 
 def _cmd_oracle_distinct(args) -> int:
-    value = prob_distinct_exact(_parse_ints(args.sizes), args.r)
+    sizes = _parse_ints(args.sizes)
+    value = prob_distinct_exact(sizes, args.r)
     if args.json:
         print(
             json.dumps(
                 {
-                    "sizes": list(_parse_ints(args.sizes)),
+                    "sizes": list(sizes),
                     "r": args.r,
                     "numerator": value.numerator,
                     "denominator": value.denominator,
@@ -241,19 +199,14 @@ def _cmd_oracle_pair(args) -> int:
         if args.closed_form
         else pair_pmf_exact(model, z_prev)
     )
-    rows = []
-    for a, u in enumerate(table.vectors):
-        for b, v in enumerate(table.vectors):
-            p = float(table.table[a, b])
-            if p > 0.0:
-                rows.append(
-                    (
-                        ",".join(str(int(x)) for x in u),
-                        ",".join(str(int(x)) for x in v),
-                        p,
-                    )
-                )
-    _write_rows(args.out, ["u", "v", "prob"], rows)
+    labels = [",".join(map(str, v)) for v in table.vectors.tolist()]
+    rows = [
+        (labels[a], labels[b], p)
+        for a, row in enumerate(table.table.tolist())
+        for b, p in enumerate(row)
+        if p > 0.0
+    ]
+    write_csv(args.out, ["u", "v", "prob"], rows)
     return 0
 
 
@@ -262,21 +215,19 @@ def _cmd_experiment(args) -> int:
         config = preset(args.preset, scale=args.scale)
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out_dir is not None:
-        overrides["out_dir"] = Path(args.out_dir)
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
-    summary = run_experiment(config)
+            try:
+                spec = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidArgument(f"{args.config} is not valid JSON: {exc}") from None
+        config = ExperimentConfig.from_dict(spec)
+    given = {
+        "master_seed": args.seed,
+        "replicates": args.replicates,
+        "workers": args.workers,
+        "out_dir": args.out_dir,
+    }
+    overrides = {key: value for key, value in given.items() if value is not None}
+    summary = run_experiment(dataclasses.replace(config, **overrides))
     print(f"wrote {summary.summary_path}")
     for label, path in summary.per_replicate_paths.items():
         print(f"wrote {path}")
@@ -384,7 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out-dir", default=os.environ.get("GWFAM_OUTDIR"))
+    p.add_argument(
+        "--out-dir",
+        type=Path,
+        help="output directory, overriding the preset's or config's "
+        "(which default to $GWFAM_OUTDIR, else ./gwfam_out)",
+    )
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("preset", help="print a preset experiment config as JSON")
@@ -405,10 +361,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GwfamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (GwfamError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -66,6 +66,18 @@ class ModelConstructionFailed(GwfamError):
     """A parametric family could not build a model at the requested point."""
 
 
+class ReplicateFailed(GwfamError):
+    """One replicate of an experiment raised; carries its index and the error."""
+
+    def __init__(self, replicate: int, error: str):
+        super().__init__(replicate, error)
+        self.replicate = replicate
+        self.error = error
+
+    def __str__(self) -> str:
+        return f"replicate {self.replicate}: {self.error}"
+
+
 class UnknownPreset(GwfamError):
     """Requested experiment preset does not exist."""
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import EmptySample, ModelConstructionFailed, OptimizerDiverged
+from .errors import EmptySample, InvalidArgument, ModelConstructionFailed, OptimizerDiverged
 from .spectral import (
     AsymptoticVariances,
     PerronPair,
@@ -37,7 +37,7 @@ def _normal_quantile(level: float) -> float:
     # Two-sided: inv_cdf uses the Wichura AS241 rational approximation,
     # accurate far beyond the 1e-8 needed here.
     if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+        raise InvalidArgument(f"confidence level must be in (0, 1), got {level}")
     return NormalDist().inv_cdf((1.0 + level) / 2.0)
 
 
@@ -137,7 +137,6 @@ class MleFit:
     converged: bool
     n_evaluations: int
     stationarity_residual: float | None
-    start_logliks: tuple[float, ...]
 
     def __post_init__(self):
         self.theta_hat.setflags(write=False)
@@ -224,20 +223,15 @@ def amle_fit(
         return g
 
     best = None
-    start_vals = []
     for start in _start_points(theta0, lo, hi):
-        try:
-            res = minimize(
-                objective,
-                start,
-                jac=gradient,
-                method="L-BFGS-B",
-                bounds=list(zip(lo, hi)),
-                options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 500},
-            )
-        except ModelConstructionFailed:
-            raise
-        start_vals.append(-float(res.fun))
+        res = minimize(
+            objective,
+            start,
+            jac=gradient,
+            method="L-BFGS-B",
+            bounds=list(zip(lo, hi)),
+            options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 500},
+        )
         if best is None or res.fun < best.fun:
             best = res
     if best is None or not np.isfinite(best.fun) or -best.fun <= _PENALTY / 2:
@@ -256,7 +250,6 @@ def amle_fit(
         converged=bool(best.success),
         n_evaluations=evaluations,
         stationarity_residual=residual,
-        start_logliks=tuple(start_vals),
     )
 
 

@@ -15,15 +15,23 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import GwfamError, InvalidArgument, MalformedCsv, UnknownPreset
+from .errors import (
+    GwfamError,
+    InvalidArgument,
+    MalformedCsv,
+    ReplicateFailed,
+    UnknownPreset,
+)
 from .estimators import (
     _normal_quantile,
     amle_fit,
@@ -83,7 +91,7 @@ class ExperimentConfig:
     cells: tuple[ExperimentCell, ...]
     replicates: int
     master_seed: int
-    estimator: str  # mom | amle | mitosis_closed_form | prob_distinct
+    estimator: str  # a key of ESTIMATORS
     ci_level: float = 0.95
     workers: int = 1
     out_dir: Path = field(default_factory=lambda: Path(os.environ.get(DEFAULT_OUT_ENV, "gwfam_out")))
@@ -102,16 +110,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        return ExperimentConfig(
-            name=str(d["name"]),
-            cells=tuple(ExperimentCell.from_dict(c) for c in d["cells"]),
-            replicates=int(d["replicates"]),
-            master_seed=int(d["master_seed"]),
-            estimator=str(d["estimator"]),
-            ci_level=float(d.get("ci_level", 0.95)),
-            workers=int(d.get("workers", 1)),
-            out_dir=Path(d.get("out_dir", os.environ.get(DEFAULT_OUT_ENV, "gwfam_out"))),
-        )
+        # keys left out take the field defaults
+        optional = {"ci_level": float, "workers": int, "out_dir": Path}
+        try:
+            return ExperimentConfig(
+                name=str(d["name"]),
+                cells=tuple(ExperimentCell.from_dict(c) for c in d["cells"]),
+                replicates=int(d["replicates"]),
+                master_seed=int(d["master_seed"]),
+                estimator=str(d["estimator"]),
+                **{key: cast(d[key]) for key, cast in optional.items() if key in d},
+            )
+        except KeyError as exc:
+            raise InvalidArgument(f"experiment config lacks the key {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -133,77 +144,85 @@ class ReplicationSummary:
 
 # --- per-replicate work ----------------------------------------------------
 
-_BUNDLE_CACHE: dict[str, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _bundle(spec_json: str):
     """Model plus derived spectral objects, cached per worker process."""
-    bundle = _BUNDLE_CACHE.get(spec_json)
-    if bundle is None:
-        model = model_from_dict(json.loads(spec_json))
-        pair = perron(reproduction_matrix(model))
-        var = asymptotic_variances(model, pair)
-        _BUNDLE_CACHE[spec_json] = bundle = (model, pair, var)
-    return bundle
+    model = model_from_dict(json.loads(spec_json))
+    pair = perron(reproduction_matrix(model))
+    return model, pair, asymptotic_variances(model, pair)
+
+
+# Each estimator's columns of a replicate row, from the replicate's trace and
+# sample, the sample size, the model's limit variances and the CI level. The
+# layer functions are looked up as module globals at call time, so they can
+# be wrapped from outside.
+
+
+def _mitosis_closed_form_row(trace, sample, r, var, ci_level) -> dict:
+    est = mitosis_closed_form(*mitosis_counts(sample), r)
+    half = _normal_quantile(ci_level) * math.sqrt(var.ratio_covariance[0, 0] / r)
+    return {
+        "alpha_hat": est.alpha_hat,
+        "theta_hat": est.theta_hat,
+        "b1_hat": est.b1_hat,
+        "b1_lo": est.b1_hat - half,
+        "b1_hi": est.b1_hat + half,
+        "degenerate": int(est.degenerate),
+    }
+
+
+def _mom_row(trace, sample, r, var, ci_level) -> dict:
+    est = mom_confidence(mom_estimates(sample.broods), var, ci_level)
+    row = {"rho_hat": est.rho_hat, "rho_lo": est.ci_rho[0], "rho_hi": est.ci_rho[1]}
+    for i, (b, (lo, hi)) in enumerate(zip(est.ratio_means, est.ci_b), start=1):
+        row.update({f"b{i}": float(b), f"b{i}_lo": float(lo), f"b{i}_hi": float(hi)})
+    return row
+
+
+def _amle_row(trace, sample, r, var, ci_level) -> dict:
+    fit = amle_fit(
+        lambda th: mitosis_model(th[0], th[1]),
+        sample.broods,
+        theta0=(0.5, 0.5),
+        bounds=((1e-6, 1.0 - 1e-6), (1e-6, 1.0 - 1e-6)),
+    )
+    return {
+        "alpha_hat": float(fit.theta_hat[0]),
+        "theta_hat": float(fit.theta_hat[1]),
+        "loglik": fit.loglik,
+        "converged": int(fit.converged),
+    }
+
+
+def _prob_distinct_row(trace, sample, r, var, ci_level) -> dict:
+    return {"prob_distinct": prob_distinct(trace.family_size_counts(), r), "r": r}
+
+
+ESTIMATORS = {
+    "mom": _mom_row,
+    "amle": _amle_row,  # wired up for the builtin mitosis family only
+    "mitosis_closed_form": _mitosis_closed_form_row,
+    "prob_distinct": _prob_distinct_row,
+}
 
 
 def _replicate_row(task: tuple) -> dict:
     payload, k = task
-    model, pair, var = _bundle(payload["model_spec_json"])
-    seed = SeedSpec(payload["cell_master"], replicate=k)
-    n = payload["n"]
-    r = payload["r"]
-    trace = simulate_aggregate(model, payload["z0"], n, seed)
-    sample = draw_family_sample(sampling_view(trace), r, seed)
-    row: dict = {
-        "replicate": k,
-        "population": int(trace.totals()[-1]),
-        "non_sibling": int(is_non_sibling(sample)),
-    }
-    estimator = payload["estimator"]
-    if estimator == "mitosis_closed_form":
-        n1, nb, n2 = mitosis_counts(sample)
-        est = mitosis_closed_form(n1, nb, n2, r)
-        z = _normal_quantile(payload["ci_level"])
-        half = z * math.sqrt(var.ratio_covariance[0, 0] / r)
-        row.update(
-            alpha_hat=est.alpha_hat,
-            theta_hat=est.theta_hat,
-            b1_hat=est.b1_hat,
-            b1_lo=est.b1_hat - half,
-            b1_hi=est.b1_hat + half,
-            degenerate=int(est.degenerate),
-        )
-    elif estimator == "mom":
-        est = mom_confidence(mom_estimates(sample.broods), var, payload["ci_level"])
-        row["rho_hat"] = est.rho_hat
-        row["rho_lo"], row["rho_hi"] = est.ci_rho
-        for i in range(model.n_types):
-            row[f"b{i + 1}"] = float(est.ratio_means[i])
-            row[f"b{i + 1}_lo"] = float(est.ci_b[i, 0])
-            row[f"b{i + 1}_hi"] = float(est.ci_b[i, 1])
-    elif estimator == "amle":
-        spec = json.loads(payload["model_spec_json"])
-        if spec.get("builtin") != "mitosis":
-            raise ValueError("the amle estimator is wired up for the mitosis family only")
-        fit = amle_fit(
-            lambda th: mitosis_model(th[0], th[1]),
-            sample.broods,
-            theta0=(0.5, 0.5),
-            bounds=((1e-6, 1.0 - 1e-6), (1e-6, 1.0 - 1e-6)),
-        )
-        row.update(
-            alpha_hat=float(fit.theta_hat[0]),
-            theta_hat=float(fit.theta_hat[1]),
-            loglik=fit.loglik,
-            converged=int(fit.converged),
-        )
-    elif estimator == "prob_distinct":
-        row["prob_distinct"] = prob_distinct(trace.family_size_counts(), r)
-        row["r"] = r
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return row
+    try:
+        model, pair, var = _bundle(payload["model_spec_json"])
+        seed = SeedSpec(payload["cell_master"], replicate=k)
+        r = payload["r"]
+        trace = simulate_aggregate(model, payload["z0"], payload["n"], seed)
+        sample = draw_family_sample(sampling_view(trace), r, seed)
+        row = {
+            "replicate": k,
+            "population": int(trace.totals()[-1]),
+            "non_sibling": int(is_non_sibling(sample)),
+        }
+        row.update(ESTIMATORS[payload["estimator"]](trace, sample, r, var, payload["ci_level"]))
+        return row
+    except Exception as exc:
+        raise ReplicateFailed(k, f"{type(exc).__name__}: {exc}") from exc
 
 
 # --- the harness -----------------------------------------------------------
@@ -215,19 +234,34 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
     Deterministic for a fixed config: cell seeds derive from
     (master_seed, cell index) and replicate seeds from (cell seed, replicate
     index), so worker count and scheduling cannot change any output byte.
+
+    The run stops at the first failing replicate (the lowest index of the
+    failing cell): cells finished before it keep their CSVs, the failing
+    cell writes none, and ``<name>__FAILED.json`` records the cell, the
+    replicate and the cell seed, so ``SeedSpec(cell_seed, replicate)``
+    replays it.
     """
     if config.replicates < 1:
         raise GwfamError(f"replicates must be >= 1, got {config.replicates}")
+    if config.estimator not in ESTIMATORS:
+        raise InvalidArgument(
+            f"unknown estimator {config.estimator!r}; have {', '.join(ESTIMATORS)}"
+        )
+    if config.estimator == "amle" and any(
+        cell.model_spec.get("builtin") != "mitosis" for cell in config.cells
+    ):
+        raise InvalidArgument("the amle estimator is wired up for the builtin mitosis family only")
+    _normal_quantile(config.ci_level)  # rejects a level outside (0, 1)
     t0 = time.perf_counter()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[dict] = []
     per_replicate_paths: dict[str, Path] = {}
     for cell_index, cell in enumerate(config.cells):
-        spec_json = json.dumps(cell.model_spec, sort_keys=True)
+        cell_seed = SeedSpec.cell_master(config.master_seed, cell_index)
         payload = {
-            "model_spec_json": spec_json,
-            "cell_master": SeedSpec.cell_master(config.master_seed, cell_index),
+            "model_spec_json": json.dumps(cell.model_spec, sort_keys=True),
+            "cell_master": cell_seed,
             "z0": cell.z0,
             "n": cell.n,
             "r": cell.rule.sample_size(cell.n),
@@ -237,21 +271,30 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
         tasks = [(payload, k) for k in range(config.replicates)]
         try:
             if config.workers > 1:
+                chunk = -(-len(tasks) // (4 * config.workers))
                 with Pool(processes=config.workers) as pool:
-                    rows = pool.map(_replicate_row, tasks)
+                    # in order, so the failure raised is the lowest index
+                    rows = list(pool.imap(_replicate_row, tasks, chunksize=chunk))
             else:
                 rows = [_replicate_row(t) for t in tasks]
-        except Exception as exc:
-            _write_failure_manifest(out_dir, config, cell, exc)
+        except ReplicateFailed as exc:
+            manifest = {
+                "experiment": config.name,
+                "failed_cell": cell.label,
+                "cell_seed": cell_seed,
+                "replicate": exc.replicate,
+                "error": exc.error,
+            }
+            with open(out_dir / f"{config.name}__FAILED.json", "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
             raise
         path = out_dir / f"{config.name}__{cell.label}__replicates.csv"
-        _write_csv(path, rows)
+        write_csv(path, list(rows[0]), rows)
         per_replicate_paths[cell.label] = path
-        summary_rows.extend(
-            _summarize_cell(cell, rows, _theoretical_values(cell), config.replicates)
-        )
+        theo = _theoretical_values(cell, payload["model_spec_json"])
+        summary_rows.extend(_summarize_cell(cell, rows, theo, config.replicates))
     summary_path = out_dir / f"{config.name}__summary.csv"
-    _write_csv(summary_path, summary_rows)
+    write_csv(summary_path, list(summary_rows[0]), summary_rows)
     return ReplicationSummary(
         config=config,
         rows=tuple(summary_rows),
@@ -261,8 +304,8 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
     )
 
 
-def _theoretical_values(cell: ExperimentCell) -> dict[str, float]:
-    model, pair, _ = _bundle(json.dumps(cell.model_spec, sort_keys=True))
+def _theoretical_values(cell: ExperimentCell, spec_json: str) -> dict[str, float]:
+    model, pair, _ = _bundle(spec_json)
     theo = {"rho_hat": pair.rho, "b1_hat": float(pair.b[0])}
     for i in range(model.n_types):
         theo[f"b{i + 1}"] = float(pair.b[i])
@@ -274,15 +317,12 @@ def _theoretical_values(cell: ExperimentCell) -> dict[str, float]:
     return theo
 
 
-_SUMMARY_SKIP = {"replicate"}
-
-
 def _summarize_cell(
     cell: ExperimentCell, rows: list[dict], theo: dict[str, float], replicates: int
 ) -> list[dict]:
     out = []
     for column in rows[0]:
-        if column in _SUMMARY_SKIP:
+        if column == "replicate":
             continue
         values = np.array([float(row[column]) for row in rows])
         out.append(
@@ -298,35 +338,67 @@ def _summarize_cell(
     return out
 
 
-def _write_csv(path: Path, rows: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_csv(out: str | Path | None, header: Sequence[str], rows) -> None:
+    """Write a header line and rows as CSV to the file ``out``, or to stdout
+    when ``out`` is None or "-".
+
+    Floats are written with ``repr``, everything else with ``str``; lines end
+    in "\\n". A dict row is read in header order.
+    """
+    fh = sys.stdout if out is None or out == "-" else open(out, "w", encoding="utf-8", newline="")
+    try:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(rows[0])
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_format_value(row[c]) for c in header])
-
-
-def _format_value(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_failure_manifest(out_dir: Path, config, cell, exc: Exception) -> None:
-    manifest = {
-        "experiment": config.name,
-        "failed_cell": cell.label,
-        "error": f"{type(exc).__name__}: {exc}",
-    }
-    with open(out_dir / f"{config.name}__FAILED.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+            values = [row[c] for c in header] if isinstance(row, dict) else row
+            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in values])
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 # --- presets ---------------------------------------------------------------
 
 TABLE1_GRID = ((0.8, 0.8), (0.8, 0.9), (0.9, 0.7), (0.9, 0.9))
-PRESET_NAMES = ("table1", "table2", "pdn-trend", "pdn-rds")
+
+
+def _mitosis_spec(alpha: float, theta: float) -> dict:
+    return {"builtin": "mitosis", "params": {"alpha": alpha, "theta": theta}}
+
+
+# name -> (cells, replicates at desk / paper scale, master seed, estimator);
+# a cell is (label, model spec, z0, depth at desk / paper scale).
+# table2 starts from one seed respondent per group: a single seed leaves a
+# heavy left tail on |Z_n| (a run of 1-survey chains can keep the tree under
+# the sample size even at n = 14); four independent seeds make that event
+# vanishingly rare.
+_PRESETS = {
+    "table1": (
+        [(f"a{a}_t{t}", _mitosis_spec(a, t), (1, 1), (20, 20)) for a, t in TABLE1_GRID],
+        (200, 1000),
+        20_08_01,
+        "mitosis_closed_form",
+    ),
+    "table2": (
+        [("defaults", {"builtin": "rds"}, (1, 1, 1, 1), (14, 20))],
+        (200, 1000),
+        20_08_02,
+        "mom",
+    ),
+    "pdn-trend": (
+        [(f"n{n:02d}", _mitosis_spec(0.8, 0.8), (1, 1), (n, n)) for n in (8, 10, 12, 14)],
+        (50, 200),
+        20_08_03,
+        "prob_distinct",
+    ),
+    "pdn-rds": (
+        [(f"n{n:02d}", {"builtin": "rds"}, (1, 1, 1, 1), (n, n)) for n in (12, 14, 16, 18, 20)],
+        (50, 200),
+        20_08_04,
+        "prob_distinct",
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, scale: str = "desk") -> ExperimentConfig:
@@ -346,82 +418,21 @@ def preset(name: str, scale: str = "desk") -> ExperimentConfig:
     """
     if scale not in ("desk", "paper"):
         raise UnknownPreset(f"unknown scale {scale!r}; use desk or paper")
-    desk = scale == "desk"
-    rule = SampleSizeRule(kind="polynomial", exponent=2.0)
-    if name == "table1":
-        cells = tuple(
-            ExperimentCell(
-                label=f"a{a}_t{t}",
-                model_spec={"builtin": "mitosis", "params": {"alpha": a, "theta": t}},
-                z0=(1, 1),
-                n=20,
-                rule=rule,
-            )
-            for a, t in TABLE1_GRID
-        )
-        return ExperimentConfig(
-            name="table1",
-            cells=cells,
-            replicates=200 if desk else 1000,
-            master_seed=20_08_01,
-            estimator="mitosis_closed_form",
-        )
-    if name == "table2":
-        # One seed respondent per group: a single seed leaves a heavy left
-        # tail on |Z_n| (a run of 1-survey chains can keep the tree under
-        # the sample size even at n = 14); four independent seeds make that
-        # event vanishingly rare.
-        cell = ExperimentCell(
-            label="defaults",
-            model_spec={"builtin": "rds"},
-            z0=(1, 1, 1, 1),
-            n=14 if desk else 20,
-            rule=rule,
-        )
-        return ExperimentConfig(
-            name="table2",
-            cells=(cell,),
-            replicates=200 if desk else 1000,
-            master_seed=20_08_02,
-            estimator="mom",
-        )
-    if name == "pdn-trend":
-        cells = tuple(
-            ExperimentCell(
-                label=f"n{n:02d}",
-                model_spec={"builtin": "mitosis", "params": {"alpha": 0.8, "theta": 0.8}},
-                z0=(1, 1),
-                n=n,
-                rule=rule,
-            )
-            for n in (8, 10, 12, 14)
-        )
-        return ExperimentConfig(
-            name="pdn-trend",
-            cells=cells,
-            replicates=50 if desk else 200,
-            master_seed=20_08_03,
-            estimator="prob_distinct",
-        )
-    if name == "pdn-rds":
-        cells = tuple(
-            ExperimentCell(
-                label=f"n{n:02d}",
-                model_spec={"builtin": "rds"},
-                z0=(1, 1, 1, 1),
-                n=n,
-                rule=rule,
-            )
-            for n in (12, 14, 16, 18, 20)
-        )
-        return ExperimentConfig(
-            name="pdn-rds",
-            cells=cells,
-            replicates=50 if desk else 200,
-            master_seed=20_08_04,
-            estimator="prob_distinct",
-        )
-    raise UnknownPreset(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise UnknownPreset(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
+    cells, replicates, master_seed, estimator = _PRESETS[name]
+    at_scale = 0 if scale == "desk" else 1
+    return ExperimentConfig(
+        name=name,
+        cells=tuple(
+            # a fresh copy of the spec, so no config shares the table's dicts
+            ExperimentCell(label, json.loads(json.dumps(spec)), z0, depth[at_scale], SampleSizeRule())
+            for label, spec, z0, depth in cells
+        ),
+        replicates=replicates[at_scale],
+        master_seed=master_seed,
+        estimator=estimator,
+    )
 
 
 # --- histograms ------------------------------------------------------------
@@ -437,7 +448,7 @@ def emit_histograms(
     """
     src = Path(per_replicate_csv)
     if bins < 1:
-        raise ValueError("need at least one bin")
+        raise InvalidArgument(f"need at least one bin, got {bins}")
     with open(src, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         data_rows = list(reader)
@@ -445,7 +456,7 @@ def emit_histograms(
         raise MalformedCsv(f"{src} has no data rows")
     columns: dict[str, list[float]] = {}
     for name in reader.fieldnames:
-        if name in ("replicate",):
+        if name == "replicate":
             continue
         try:
             columns[name] = [float(row[name]) for row in data_rows]
@@ -459,20 +470,10 @@ def emit_histograms(
         arr = np.array(values)
         lo, hi = float(arr.min()), float(arr.max())
         if lo == hi:
-            rows.append(
-                {"column": name, "bin": 0, "lo": lo, "hi": hi, "count": arr.size}
-            )
+            rows.append((name, 0, lo, hi, arr.size))
             continue
         counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
-        for b, c in enumerate(counts):
-            rows.append(
-                {
-                    "column": name,
-                    "bin": b,
-                    "lo": float(edges[b]),
-                    "hi": float(edges[b + 1]),
-                    "count": int(c),
-                }
-            )
-    _write_csv(out, rows)
+        edges = edges.tolist()
+        rows.extend((name, b, edges[b], edges[b + 1], c) for b, c in enumerate(counts.tolist()))
+    write_csv(out, ["column", "bin", "lo", "hi", "count"], rows)
     return out

@@ -42,8 +42,37 @@ def _as_counts(u: Sequence[int], n_types: int | None = None) -> tuple[int, ...]:
     return v
 
 
+class SupportLookup:
+    """The one lookup of offspring vectors, shared by every table indexed by them.
+
+    A subclass holds the support points as the rows of ``vectors``;
+    ``prob_of`` reads its ``probs``, one entry per row (the pair table
+    overrides it to read a two-way table).
+    """
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Family size |v| for each support point."""
+        s = self.vectors.sum(axis=1)
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {tuple(v): j for j, v in enumerate(self.vectors.tolist())}
+
+    def row_of(self, u: Sequence[int]) -> int | None:
+        """Row of the offspring vector ``u`` in ``vectors`` (None off support)."""
+        return self._index.get(tuple(int(x) for x in u))
+
+    def prob_of(self, u: Sequence[int]) -> float:
+        """Probability of the offspring vector ``u`` (0.0 off support)."""
+        j = self.row_of(u)
+        return float(self.probs[j]) if j is not None else 0.0
+
+
 @dataclass(frozen=True)
-class OffspringLaw:
+class OffspringLaw(SupportLookup):
     """Finite-support offspring distribution for one parent type.
 
     ``vectors`` holds the support as an (k, l) integer array with distinct,
@@ -65,22 +94,6 @@ class OffspringLaw:
     @property
     def n_points(self) -> int:
         return self.vectors.shape[0]
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """Family size |v| for each support point."""
-        s = self.vectors.sum(axis=1)
-        s.setflags(write=False)
-        return s
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {tuple(int(x) for x in v): j for j, v in enumerate(self.vectors)}
-
-    def prob_of(self, u: Sequence[int]) -> float:
-        """Probability of the offspring vector ``u`` (0.0 off support)."""
-        j = self._index.get(tuple(int(x) for x in u))
-        return float(self.probs[j]) if j is not None else 0.0
 
     def mean(self) -> np.ndarray:
         """Mean offspring vector (exact finite sum)."""

@@ -22,22 +22,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     EnumerationTooLarge,
+    InvalidArgument,
     InvalidSampleSize,
     NotPositivelyRegular,
     SampleExceedsPopulation,
 )
+from .estimators import _normal_quantile
+from .models import BranchingModel, SupportLookup, validate_model
 from .simulate import SamplingView, SeedSpec, simulate_aggregate
-
-if TYPE_CHECKING:
-    from .models import BranchingModel
-    from .spectral import SizeBiasedLaw
+from .spectral import SizeBiasedLaw
 
 
 @dataclass(frozen=True)
@@ -120,23 +119,18 @@ class SampleSizeRule:
     """How the sample size grows with the generation index.
 
     ``polynomial`` gives r_n = round(n^exponent) (the default n^2),
-    ``fixed`` a constant size, ``custom`` whatever the callable returns.
+    ``fixed`` a constant size.
     """
 
     kind: str = "polynomial"
     exponent: float = 2.0
     size: int = 0
-    fn: Callable[[int], int] | None = None
 
     def sample_size(self, n: int) -> int:
         if self.kind == "polynomial":
             r = round(float(n) ** self.exponent)
         elif self.kind == "fixed":
             r = self.size
-        elif self.kind == "custom":
-            if self.fn is None:
-                raise InvalidSampleSize("custom rule needs a callable")
-            r = self.fn(n)
         else:
             raise InvalidSampleSize(f"unknown rule kind {self.kind!r}")
         r = int(r)
@@ -185,7 +179,7 @@ def _size_counts(
     else:
         counts = dict(Counter(int(s) for s in family_sizes))
     if any(s < 1 for s in counts):
-        raise ValueError("family sizes must be positive")
+        raise InvalidArgument("family sizes must be positive")
     r = int(r)
     n_total = sum(s * c for s, c in counts.items())
     if r < 0 or r > n_total:
@@ -323,7 +317,7 @@ class NonSiblingEstimate:
 
 
 def estimate_prob_distinct(
-    model: "BranchingModel",
+    model: BranchingModel,
     z0: Sequence[int],
     n: int,
     rule: SampleSizeRule,
@@ -339,9 +333,6 @@ def estimate_prob_distinct(
     diagnostic reports rho^(alpha n) r^-2 (1 - estimate) at alpha = half the
     model's ``max_alpha`` (NaN when the model is not supercritical).
     """
-    from .estimators import _normal_quantile
-    from .models import validate_model
-
     if replicates < 1:
         raise ValueError("need at least one replicate")
     report = validate_model(model)
@@ -380,7 +371,7 @@ MAX_ENUM_ASSIGNMENTS = 10**7
 
 
 @dataclass(frozen=True)
-class PairPmf:
+class PairPmf(SupportLookup):
     """Joint law of the first two sampled broods, conditional on Z_{n-1}."""
 
     vectors: np.ndarray
@@ -390,13 +381,8 @@ class PairPmf:
         self.vectors.setflags(write=False)
         self.table.setflags(write=False)
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {tuple(int(x) for x in v): j for j, v in enumerate(self.vectors)}
-
     def prob_of(self, u, v) -> float:
-        a = self._index.get(tuple(int(x) for x in u))
-        b = self._index.get(tuple(int(x) for x in v))
+        a, b = self.row_of(u), self.row_of(v)
         if a is None or b is None:
             return 0.0
         return float(self.table[a, b])
@@ -405,7 +391,7 @@ class PairPmf:
         return float(self.table.sum())
 
 
-def pair_pmf_exact(model: "BranchingModel", z_prev: Sequence[int]) -> PairPmf:
+def pair_pmf_exact(model: BranchingModel, z_prev: Sequence[int]) -> PairPmf:
     """Exhaustive-enumeration oracle for the two-individual sampling law.
 
     Iterates every assignment of brood vectors to the parents, weights it by
@@ -422,12 +408,13 @@ def pair_pmf_exact(model: "BranchingModel", z_prev: Sequence[int]) -> PairPmf:
     vectors, probs = model.support_union
     k = vectors.shape[0]
     sizes = vectors.sum(axis=1).astype(float)
-    parent_types = [i for i, c in enumerate(z_prev) for _ in range(c)]
-    support_of = []
-    for i in parent_types:
-        law = model.laws[i]
-        rows = [int(np.flatnonzero((vectors == v).all(axis=1))[0]) for v in law.vectors]
-        support_of.append([(j, float(p)) for j, p in zip(rows, law.probs)])
+    # probs[i, j] = p_i(vectors[j]): a law's support points are its nonzero
+    # columns, in the law's own (lexicographic) order
+    support_of = [
+        [(int(j), float(probs[i, j])) for j in np.flatnonzero(probs[i])]
+        for i, c in enumerate(z_prev)
+        for _ in range(c)
+    ]
     total_assignments = math.prod(len(s) for s in support_of)
     if total_assignments > MAX_ENUM_ASSIGNMENTS:
         raise EnumerationTooLarge(f"{total_assignments} assignments exceed the guard")
@@ -446,7 +433,7 @@ def pair_pmf_exact(model: "BranchingModel", z_prev: Sequence[int]) -> PairPmf:
 
 
 def pair_pmf_closed_form(
-    model: "BranchingModel", z_prev: Sequence[int], include_same_family: bool = True
+    model: BranchingModel, z_prev: Sequence[int], include_same_family: bool = True
 ) -> PairPmf:
     """Direct term-by-term evaluation of the two-individual joint law.
 
@@ -536,7 +523,7 @@ def pair_pmf_closed_form(
 
 
 def empirical_tv_to_limit(
-    samples: Sequence[FamilySample], ps: "SizeBiasedLaw"
+    samples: Sequence[FamilySample], ps: SizeBiasedLaw
 ) -> tuple[float, float]:
     """Total-variation distances of pooled samples from the limit law.
 
@@ -549,20 +536,15 @@ def empirical_tv_to_limit(
     n_marginal = 0
     n_pairs = 0
     for sample in samples:
-        for row in sample.broods:
-            marginal[tuple(int(x) for x in row)] += 1
-            n_marginal += 1
-        if sample.r >= 2:
-            pairs[
-                (
-                    tuple(int(x) for x in sample.broods[0]),
-                    tuple(int(x) for x in sample.broods[1]),
-                )
-            ] += 1
+        broods = [tuple(row) for row in sample.broods.tolist()]
+        marginal.update(broods)
+        n_marginal += len(broods)
+        if len(broods) >= 2:
+            pairs[broods[0], broods[1]] += 1
             n_pairs += 1
     if n_marginal == 0:
         raise ValueError("no sampled broods")
-    support = {tuple(int(x) for x in v) for v in ps.vectors}
+    support = {tuple(v) for v in ps.vectors.tolist()}
     tv_marginal = 0.5 * sum(
         abs(marginal.get(u, 0) / n_marginal - ps.prob_of(u))
         for u in support | set(marginal)

@@ -8,15 +8,11 @@ and positively regular, so convergence is geometric).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceFailure, NotPositivelyRegular
-
-if TYPE_CHECKING:
-    from .models import BranchingModel
+from .models import BranchingModel, SupportLookup
 
 POWER_TOL = 1e-13
 POWER_MAX_ITER = 10_000
@@ -24,7 +20,7 @@ RESIDUAL_TOL = 1e-10
 DEGENERATE_VARIANCE_TOL = 1e-14
 
 
-def reproduction_matrix(model: "BranchingModel") -> np.ndarray:
+def reproduction_matrix(model: BranchingModel) -> np.ndarray:
     """Matrix of mean child counts; row = parent type, column = child type."""
     return np.array([law.mean() for law in model.laws])
 
@@ -107,7 +103,7 @@ def perron(m: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
 
 
 @dataclass(frozen=True)
-class SizeBiasedLaw:
+class SizeBiasedLaw(SupportLookup):
     """Limit law of a sampled family: each brood weighted by its size.
 
     The mass at u is (|u| / rho) * sum_i p_i(u) b_i over the union support.
@@ -124,25 +120,11 @@ class SizeBiasedLaw:
         self.vectors.setflags(write=False)
         self.probs.setflags(write=False)
 
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        s = self.vectors.sum(axis=1)
-        s.setflags(write=False)
-        return s
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {tuple(int(x) for x in v): j for j, v in enumerate(self.vectors)}
-
-    def prob_of(self, u) -> float:
-        j = self._index.get(tuple(int(x) for x in u))
-        return float(self.probs[j]) if j is not None else 0.0
-
     def total_mass(self) -> float:
         return float(self.probs.sum())
 
 
-def size_biased_pmf(model: "BranchingModel", pair: PerronPair) -> SizeBiasedLaw:
+def size_biased_pmf(model: BranchingModel, pair: PerronPair) -> SizeBiasedLaw:
     """Evaluate the size-biased mixture law on the union of the laws' supports."""
     vectors, probs = model.support_union
     sizes = vectors.sum(axis=1)
@@ -182,7 +164,7 @@ class AsymptoticVariances:
         return self.inv_size_variance < DEGENERATE_VARIANCE_TOL
 
 
-def asymptotic_variances(model: "BranchingModel", pair: PerronPair) -> AsymptoticVariances:
+def asymptotic_variances(model: BranchingModel, pair: PerronPair) -> AsymptoticVariances:
     """Exact finite-sum evaluation of the limit variances.
 
     inv_size_variance = rho^-1 (sum_v sum_k b_k p_k(v)/|v| - rho^-1)

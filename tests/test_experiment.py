@@ -3,13 +3,21 @@ import dataclasses
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gwfam as g
-from gwfam.errors import GwfamError, MalformedCsv, UnknownPreset
+import gwfam.experiment
+from gwfam.errors import (
+    GwfamError,
+    MalformedCsv,
+    ReplicateFailed,
+    SampleExceedsPopulation,
+    UnknownPreset,
+)
 from gwfam.cli import main
 from gwfam.experiment import ExperimentCell, ExperimentConfig
 from gwfam.sampling import SampleSizeRule
@@ -110,15 +118,93 @@ class TestRunExperiment:
         assert summary.value("cell0", "prob_distinct", "sd") <= 1e-15
 
     def test_failure_manifest(self, tmp_path):
-        cfg = tiny_config(tmp_path)
-        bad_cell = dataclasses.replace(
-            cfg.cells[0], rule=SampleSizeRule(kind="fixed", size=10_000)
+        # the second cell's populations at n = 2 run from 9 to 56 children,
+        # so a sample of 20 fails on some of its replicates only
+        bad = ExperimentCell(
+            label="rds",
+            model_spec={"builtin": "rds"},
+            z0=(1, 1, 1, 1),
+            n=2,
+            rule=SampleSizeRule(kind="fixed", size=20),
         )
-        cfg = dataclasses.replace(cfg, cells=(bad_cell,))
-        with pytest.raises(Exception):
-            g.run_experiment(cfg)
-        manifest = json.loads((tmp_path / "tiny__FAILED.json").read_text())
-        assert manifest["failed_cell"] == "cell0"
+        model = g.rds_model()
+        for workers in (1, 2):
+            out_dir = tmp_path / f"w{workers}"
+            cfg = tiny_config(out_dir, estimator="mom", replicates=12, workers=workers)
+            cfg = dataclasses.replace(cfg, cells=(cfg.cells[0], bad))
+            with pytest.raises(ReplicateFailed):
+                g.run_experiment(cfg)
+            manifest = json.loads((out_dir / "tiny__FAILED.json").read_text())
+            assert manifest["failed_cell"] == "rds"
+            assert manifest["cell_seed"] == g.SeedSpec.cell_master(cfg.master_seed, 1)
+            assert manifest["error"].startswith("SampleExceedsPopulation: ")
+            # the lowest failing index for any worker count, and it replays
+            traces = [
+                g.simulate_aggregate(model, bad.z0, bad.n, g.SeedSpec(manifest["cell_seed"], k))
+                for k in range(cfg.replicates)
+            ]
+            first = min(k for k, t in enumerate(traces) if t.totals()[-1] < 20)
+            assert manifest["replicate"] == first > 0
+            seed = g.SeedSpec(manifest["cell_seed"], manifest["replicate"])
+            with pytest.raises(SampleExceedsPopulation):
+                g.draw_family_sample(g.sampling_view(traces[first]), 20, seed)
+            # the finished cell keeps its CSV; the failing cell and the summary write none
+            assert sorted(p.name for p in out_dir.iterdir()) == [
+                "tiny__FAILED.json",
+                "tiny__cell0__replicates.csv",
+            ]
+
+    def test_replicate_failure_is_one_error_line(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path / "out").to_dict()
+        cfg["cells"][0]["rule"] = {"kind": "fixed", "size": 10_000}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: replicate 0: SampleExceedsPopulation: ")
+        assert err.count("\n") == 1, err
+        assert (tmp_path / "out" / "tiny__FAILED.json").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"replicates": None},
+            {"estimator": "median"},
+            {"estimator": "amle", "model": {"builtin": "rds"}},
+            {"ci_level": 1.5},
+            {"cells": [{"label": "c"}]},
+            "{not json",
+        ],
+    )
+    def test_bad_config_is_one_error_line_before_any_output(self, change, tmp_path, capsys):
+        cfg = tiny_config(tmp_path / "out").to_dict()
+        if isinstance(change, str):
+            text = change
+        else:
+            for key, value in change.items():
+                if key == "model":
+                    cfg["cells"][0]["model"] = value
+                elif value is None:
+                    del cfg[key]
+                else:
+                    cfg[key] = value
+            text = json.dumps(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["experiment", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_defaults(self, tmp_path, monkeypatch):
+        d = tiny_config(tmp_path).to_dict()
+        for key in ("ci_level", "workers", "out_dir"):
+            del d[key]
+        monkeypatch.setenv("GWFAM_OUTDIR", str(tmp_path / "env"))
+        cfg = ExperimentConfig.from_dict(d)
+        assert (cfg.ci_level, cfg.workers, cfg.out_dir) == (0.95, 1, tmp_path / "env")
+        monkeypatch.delenv("GWFAM_OUTDIR")
+        assert ExperimentConfig.from_dict(d).out_dir == Path("gwfam_out")
 
     def test_non_integral_z0_in_config_rejected(self, tmp_path):
         spec = tiny_config(tmp_path).cells[0].to_dict()
@@ -149,6 +235,43 @@ class TestRunExperiment:
         for lo, hi in zip(freqs, freqs[1:]):
             slack = 3 * np.sqrt((lo * (1 - lo) + hi * (1 - hi)) / 40 + 1e-9)
             assert hi >= lo - slack
+
+
+class TestLayerLookup:
+    # The functions of each estimator's path beyond simulating and sampling.
+    PATHS = {
+        "mitosis_closed_form": {"mitosis_counts", "mitosis_closed_form"},
+        "mom": set(),
+        "amle": {"amle_fit"},
+        "prob_distinct": {"prob_distinct"},
+    }
+    WRAPPED = (
+        "simulate_aggregate",
+        "draw_family_sample",
+        "mitosis_counts",
+        "mitosis_closed_form",
+        "amle_fit",
+        "prob_distinct",
+    )
+
+    def test_every_estimator_has_a_path(self):
+        assert set(gwfam.experiment.ESTIMATORS) == set(self.PATHS)
+
+    @pytest.mark.parametrize("estimator", sorted(PATHS))
+    def test_layer_functions_looked_up_at_call_time(self, estimator, tmp_path, monkeypatch):
+        # wrappers set on the module after import must see every call, as
+        # the benchmark's tracer relies on
+        calls = Counter()
+        for name in self.WRAPPED:
+
+            def counted(*args, _fn=getattr(gwfam.experiment, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(gwfam.experiment, name, counted)
+        g.run_experiment(tiny_config(tmp_path, estimator=estimator, replicates=2))
+        on_path = {"simulate_aggregate", "draw_family_sample"} | self.PATHS[estimator]
+        assert calls == Counter({name: 2 for name in on_path})
 
 
 class TestPresets:
@@ -202,6 +325,12 @@ class TestPresets:
         validity = [c.rule.validity(c.n, rho) for c in cfg.cells]
         assert all(a > b for a, b in zip(validity, validity[1:]))
         assert validity[0] < 1 and validity[-1] < 0.01
+
+    def test_presets_share_no_dicts(self):
+        a, b = g.preset("table1"), g.preset("table1")
+        assert a == b
+        assert a.cells[0].model_spec is not b.cells[0].model_spec
+        assert a.cells[0].model_spec["params"] is not b.cells[0].model_spec["params"]
 
     def test_unknown(self):
         with pytest.raises(UnknownPreset):
@@ -358,6 +487,8 @@ class TestCli:
             ("simulate", "--model", "rds", "--z0", "1.5,1,1,1", "--n", "3", "--seed", "1"),
             ("simulate", "--model", "rds", "--z0", "1,1", "--n", "3", "--seed", "1"),
             ("oracle", "distinct", "--sizes", "2,x", "--r", "2"),
+            ("oracle", "distinct", "--sizes", "0,1", "--r", "1"),
+            ("histogram", "--input", "replicates.csv", "--bins", "0"),
         ],
     )
     def test_bad_input_is_one_error_line(self, args, capsys):

@@ -23,6 +23,23 @@ class TestOffspringLaw:
         assert law.prob_of((2, 0)) == pytest.approx(0.64, abs=1e-15)
         assert abs(law.probs.sum() - 1.0) <= 1e-12
 
+    def test_support_lookup_shared_by_every_table(self, mitosis97):
+        # the law, its size-biased limit and the pair table look vectors up
+        # the same way: a row for each support point, 0.0 off support
+        law = mitosis97.laws[0]
+        ps = g.size_biased_pmf(mitosis97, g.perron(g.reproduction_matrix(mitosis97)))
+        pair = g.pair_pmf_exact(mitosis97, (1, 1))
+        for table in (law, ps, pair):
+            for j, v in enumerate(table.vectors.tolist()):
+                assert table.row_of(v) == table.row_of(np.array(v)) == j
+            assert table.row_of((3, 0)) is None and table.row_of((1, 1, 0)) is None
+        for table in (law, ps):
+            assert table.prob_of((1, 1)) == float(table.probs[1])
+            assert table.prob_of((3, 0)) == 0.0 and table.prob_of((2,)) == 0.0
+        assert pair.prob_of((1, 1), (2, 0)) == float(pair.table[1, 2])
+        assert pair.prob_of((1, 1), (3, 0)) == 0.0 == pair.prob_of((0, 0), (1, 1))
+        assert law.sizes.tolist() == ps.sizes.tolist() == pair.sizes.tolist() == [2, 2, 2]
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorInSupport):
             g.offspring_law([((0, 0), 1.0)])

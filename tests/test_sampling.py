@@ -20,6 +20,7 @@ from tests_support import (
     all_family_size_lists,
     elementary_symmetric,
     mitosis_prob_distinct,
+    random_small_model,
 )
 
 
@@ -121,6 +122,31 @@ class TestDrawFamilySample:
                 target = oracle.prob_of(u, v)
                 sd = math.sqrt(target * (1 - target) / reps)
                 assert abs(hits[u, v] / reps - target) <= 4 * sd, (u, v)
+
+    @pytest.mark.parametrize("model_seed, parents", [(0, 4), (9, 3)])
+    def test_matches_pair_oracle_on_random_models(self, model_seed, parents):
+        # every ordered cell of the support union, cells no brood pair reaches
+        # included; seed 0 has three types and parents (2, 1, 1), seed 9 two
+        # types and parents (2, 1), every law with two or three support points
+        model = random_small_model(np.random.default_rng(model_seed))
+        z_prev = [0] * model.n_types
+        for j in range(parents):
+            z_prev[j % model.n_types] += 1
+        oracle = g.pair_pmf_exact(model, z_prev)
+        reps = 20_000
+        hits = Counter()
+        for k in range(reps):
+            seed = SeedSpec(model_seed, replicate=k)
+            view = g.sampling_view(g.simulate_aggregate(model, z_prev, 1, seed))
+            s = g.draw_family_sample(view, 2, seed)
+            hits[tuple(s.broods[0].tolist()), tuple(s.broods[1].tolist())] += 1
+        vectors = [tuple(v) for v in oracle.vectors.tolist()]
+        assert set(hits) <= {(u, v) for u in vectors for v in vectors}
+        for u in vectors:
+            for v in vectors:
+                target = oracle.prob_of(u, v)
+                sd = math.sqrt(target * (1 - target) / reps)
+                assert abs(hits[u, v] / reps - target) <= 5 * sd, (u, v, target)
 
 
 class TestIsNonSibling:
@@ -336,10 +362,6 @@ class TestSampleSizeRule:
 
     def test_fixed(self):
         assert SampleSizeRule(kind="fixed", size=7).sample_size(99) == 7
-
-    def test_custom(self):
-        rule = SampleSizeRule(kind="custom", fn=lambda n: 3 * n)
-        assert rule.sample_size(5) == 15
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidSampleSize):
