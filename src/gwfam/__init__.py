@@ -45,12 +45,10 @@ from .models import (
 )
 from .sampling import (
     FamilySample,
-    NonSiblingEstimate,
     PairPmf,
     SampleSizeRule,
     draw_family_sample,
     empirical_tv_to_limit,
-    estimate_prob_distinct,
     is_non_sibling,
     pair_pmf_closed_form,
     pair_pmf_exact,
@@ -61,7 +59,6 @@ from .simulate import (
     GenerationTrace,
     SamplingView,
     SeedSpec,
-    kesten_stigum_diagnostic,
     sampling_view,
     simulate_aggregate,
 )

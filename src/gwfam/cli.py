@@ -131,13 +131,20 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _brood_count(path: str, row: dict, column: str) -> int:
+    try:
+        return int(row[column])
+    except (TypeError, ValueError):
+        raise MalformedCsv(f"{path}: {column} holds {row[column]!r}, not an integer") from None
+
+
 def _cmd_estimate(args) -> int:
     with open(args.input, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         brood_cols = [c for c in reader.fieldnames or [] if c.startswith("brood_")]
         if not brood_cols:
             raise MalformedCsv(f"{args.input}: no brood_* columns found")
-        broods = [[int(row[c]) for c in brood_cols] for row in reader]
+        broods = [[_brood_count(args.input, row, c) for c in brood_cols] for row in reader]
     if not broods:
         raise MalformedCsv(f"{args.input}: no data rows")
     broods = np.array(broods, dtype=np.int64)

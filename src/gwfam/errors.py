@@ -39,7 +39,7 @@ class ConvergenceFailure(GwfamError):
 
 
 class PopulationOverflow(GwfamError):
-    """A simulated generation exceeded the configured population cap."""
+    """A simulated generation exceeded ``simulate.DEFAULT_POPULATION_CAP``."""
 
 
 class SampleExceedsPopulation(GwfamError):

@@ -19,12 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import EmptySample, InvalidArgument, ModelConstructionFailed, OptimizerDiverged
-from .spectral import (
-    AsymptoticVariances,
-    PerronPair,
-    perron,
-    reproduction_matrix,
-)
+from .spectral import AsymptoticVariances, perron, reproduction_matrix
 
 if TYPE_CHECKING:
     from .models import BranchingModel
@@ -165,7 +160,6 @@ def amle_fit(
     sample,
     theta0: Sequence[float],
     bounds: Sequence[tuple[float, float]],
-    rel_step: float = GRADIENT_REL_STEP,
 ) -> MleFit:
     """Fit a parametric family by maximizing the size-biased log likelihood.
 
@@ -174,8 +168,9 @@ def amle_fit(
     iteration at every evaluation. Box-constrained quasi-Newton (L-BFGS-B)
     with central-difference gradients, multi-started from theta0 plus four
     deterministic jittered points. The reported stationarity residual is the
-    largest first-order-condition imbalance at the optimum (None when the
-    optimum sits on the box boundary, where stationarity need not hold).
+    largest component of that gradient at the optimum, evaluated after the
+    optimizer has finished, so ``n_evaluations`` does not count it (None when
+    the optimum sits on the box boundary, where stationarity need not hold).
     """
     broods = _as_brood_matrix(sample)
     unique, counts = np.unique(broods, axis=0, return_counts=True)
@@ -189,19 +184,15 @@ def amle_fit(
     r = int(counts.sum())
     evaluations = 0
 
-    def spectral_parts(theta: np.ndarray) -> tuple[PerronPair, np.ndarray]:
+    def loglik(theta: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
         try:
             model = family(theta)
         except Exception as exc:
             raise ModelConstructionFailed(f"family failed at theta={theta}") from exc
         pair = perron(reproduction_matrix(model))
         pmat = np.array([[law.prob_of(u) for u in unique] for law in model.laws])
-        return pair, pmat
-
-    def loglik(theta: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        pair, pmat = spectral_parts(theta)
         mix = pair.b @ pmat
         if np.any(mix <= 0.0):
             return _PENALTY
@@ -214,7 +205,7 @@ def amle_fit(
         # central differences, stencil clipped into the box near its edges
         g = np.empty_like(theta)
         for d in range(theta.size):
-            h = rel_step * max(1.0, abs(theta[d]))
+            h = GRADIENT_REL_STEP * max(1.0, abs(theta[d]))
             up = theta.copy()
             dn = theta.copy()
             up[d] = min(theta[d] + h, hi[d])
@@ -241,50 +232,15 @@ def amle_fit(
     interior = np.all(theta_hat - lo > 1e-7 * (hi - lo)) and np.all(
         hi - theta_hat > 1e-7 * (hi - lo)
     )
-    residual = _stationarity_residual(
-        spectral_parts, theta_hat, counts, rel_step, lo, hi
-    ) if interior else None
+    n_evaluations = evaluations  # the optimizer's only: read before the residual's
+    residual = float(np.abs(gradient(theta_hat)).max()) if interior else None
     return MleFit(
         theta_hat=theta_hat,
         loglik=-float(best.fun),
         converged=bool(best.success),
-        n_evaluations=evaluations,
+        n_evaluations=n_evaluations,
         stationarity_residual=residual,
     )
-
-
-def _stationarity_residual(
-    spectral_parts, theta: np.ndarray, counts: np.ndarray, rel_step: float,
-    lo: np.ndarray, hi: np.ndarray,
-) -> float:
-    """Largest first-order-condition imbalance across parameter coordinates.
-
-    For each coordinate d the condition equates
-    sum_j (sum_i dp_i(X_j) b_i + db_i p_i(X_j)) / (sum_i p_i(X_j) b_i)
-    with (r / rho) drho; every derivative is a central difference of the
-    family's spectral map.
-    """
-    pair, pmat = spectral_parts(theta)
-    mix = pair.b @ pmat
-    r = int(counts.sum())
-    worst = 0.0
-    for d in range(theta.size):
-        h = rel_step * max(1.0, abs(theta[d]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[d] = min(theta[d] + h, hi[d])
-        dn[d] = max(theta[d] - h, lo[d])
-        span = up[d] - dn[d]
-        pair_up, pmat_up = spectral_parts(up)
-        pair_dn, pmat_dn = spectral_parts(dn)
-        d_rho = (pair_up.rho - pair_dn.rho) / span
-        d_b = (pair_up.b - pair_dn.b) / span
-        d_pmat = (pmat_up - pmat_dn) / span
-        numer = pair.b @ d_pmat + d_b @ pmat
-        lhs = float(counts @ (numer / mix))
-        rhs = r / pair.rho * d_rho
-        worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .estimators import (
 from .models import mitosis_model, model_from_dict
 from .sampling import (
     SampleSizeRule,
+    _integral,
     draw_family_sample,
     is_non_sibling,
     prob_distinct,
@@ -74,13 +75,11 @@ class ExperimentCell:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentCell":
-        if not all(isinstance(x, (int, float)) and float(x).is_integer() for x in d["z0"]):
-            raise InvalidArgument(f"z0 must hold integer counts, got {d['z0']}")
         return ExperimentCell(
             label=str(d["label"]),
             model_spec=d["model"],
-            z0=tuple(int(x) for x in d["z0"]),
-            n=int(d["n"]),
+            z0=tuple(_integral(x, "each z0 count") for x in d["z0"]),
+            n=_integral(d["n"], "cell n"),
             rule=SampleSizeRule.from_dict(d["rule"]),
         )
 
@@ -111,13 +110,17 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         # keys left out take the field defaults
-        optional = {"ci_level": float, "workers": int, "out_dir": Path}
+        optional = {
+            "ci_level": float,
+            "workers": lambda v: _integral(v, "workers"),
+            "out_dir": Path,
+        }
         try:
             return ExperimentConfig(
                 name=str(d["name"]),
                 cells=tuple(ExperimentCell.from_dict(c) for c in d["cells"]),
-                replicates=int(d["replicates"]),
-                master_seed=int(d["master_seed"]),
+                replicates=_integral(d["replicates"], "replicates"),
+                master_seed=_integral(d["master_seed"], "master_seed"),
                 estimator=str(d["estimator"]),
                 **{key: cast(d[key]) for key, cast in optional.items() if key in d},
             )
@@ -243,6 +246,8 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
     """
     if config.replicates < 1:
         raise GwfamError(f"replicates must be >= 1, got {config.replicates}")
+    if not config.cells:
+        raise InvalidArgument("an experiment needs at least one cell")
     if config.estimator not in ESTIMATORS:
         raise InvalidArgument(
             f"unknown estimator {config.estimator!r}; have {', '.join(ESTIMATORS)}"

@@ -227,9 +227,9 @@ class ValidationReport:
 def validate_model(model: BranchingModel) -> ValidationReport:
     """Check non-extinction/supercriticality conditions and record moment bounds.
 
-    ``max_alpha`` is -log_rho(K) for K = max_i E(1/|Y^(i)|): the open interval
-    (0, max_alpha) is where the non-sibling convergence-rate diagnostic is
-    meaningful. It is reported as computed and may be <= 0 when K >= 1.
+    ``max_alpha`` is -log_rho(K) for K = max_i E(1/|Y^(i)|), the assumption
+    check on the inverse moments: it is positive exactly when K < 1. It is
+    reported as computed and may be <= 0 when K >= 1, which adds a message.
     """
     from . import spectral
 

@@ -30,12 +30,10 @@ from .errors import (
     EnumerationTooLarge,
     InvalidArgument,
     InvalidSampleSize,
-    NotPositivelyRegular,
     SampleExceedsPopulation,
 )
-from .estimators import _normal_quantile
-from .models import BranchingModel, SupportLookup, validate_model
-from .simulate import SamplingView, SeedSpec, simulate_aggregate
+from .models import BranchingModel, SupportLookup
+from .simulate import SamplingView, SeedSpec
 from .spectral import SizeBiasedLaw
 
 
@@ -114,6 +112,13 @@ def is_non_sibling(sample: FamilySample) -> bool:
     return len(pairs) == sample.r
 
 
+def _integral(value, what: str) -> int:
+    # A config number that must be a whole number: an int or an integral float.
+    if isinstance(value, (int, float)) and float(value).is_integer():
+        return int(value)
+    raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SampleSizeRule:
     """How the sample size grows with the generation index.
@@ -155,7 +160,7 @@ class SampleSizeRule:
         if kind == "polynomial":
             return SampleSizeRule(kind="polynomial", exponent=float(d.get("exponent", 2.0)))
         if kind == "fixed":
-            return SampleSizeRule(kind="fixed", size=int(d["size"]))
+            return SampleSizeRule(kind="fixed", size=_integral(d["size"], "rule size"))
         raise InvalidSampleSize(f"unknown rule kind {kind!r}")
 
 
@@ -301,73 +306,14 @@ def prob_distinct_exact(family_sizes: Sequence[int] | dict[int, int], r: int) ->
     return Fraction(_esp_of_multiset(counts, r), math.comb(n_total, r))
 
 
-@dataclass(frozen=True)
-class NonSiblingEstimate:
-    """Monte Carlo estimate of the no-siblings-in-sample probability."""
-
-    estimate: float
-    ci: tuple[float, float]
-    rate_diagnostic: float
-    alpha: float
-    n: int
-    r: int
-    replicates: int
-    validity: float
-    per_replicate: tuple[float, ...]
-
-
-def estimate_prob_distinct(
-    model: BranchingModel,
-    z0: Sequence[int],
-    n: int,
-    rule: SampleSizeRule,
-    replicates: int,
-    seed: SeedSpec,
-) -> NonSiblingEstimate:
-    """Rao-Blackwellized estimate of the non-sibling probability at generation n.
-
-    Each replicate simulates the tree to generation n and evaluates the
-    conditional probability given the realized family sizes
-    (``prob_distinct``, exact to rounding) rather than a 0/1 sibling
-    indicator, which removes all within-tree sampling noise. The rate
-    diagnostic reports rho^(alpha n) r^-2 (1 - estimate) at alpha = half the
-    model's ``max_alpha`` (NaN when the model is not supercritical).
-    """
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
-    report = validate_model(model)
-    if report.rho is None:
-        raise NotPositivelyRegular("reproduction matrix has no strictly positive power")
-    r = rule.sample_size(n)
-    values = []
-    for k in range(replicates):
-        trace = simulate_aggregate(model, z0, n, seed.with_replicate(k))
-        values.append(prob_distinct(trace.family_size_counts(), r))
-    values_arr = np.array(values)
-    estimate = float(values_arr.mean())
-    sd = float(values_arr.std(ddof=1)) if replicates > 1 else 0.0
-    half = _normal_quantile(0.95) * sd / math.sqrt(replicates)
-    alpha = report.max_alpha / 2.0 if report.max_alpha is not None else math.nan
-    rate = report.rho ** (alpha * n) * r ** (-2.0) * (1.0 - estimate)
-    return NonSiblingEstimate(
-        estimate=estimate,
-        ci=(estimate - half, estimate + half),
-        rate_diagnostic=rate,
-        alpha=alpha,
-        n=n,
-        r=r,
-        replicates=replicates,
-        validity=rule.validity(n, report.rho),
-        per_replicate=tuple(values),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Two-individual joint law at tiny scale
 # ---------------------------------------------------------------------------
 
 MAX_ENUM_PARENTS = 8
-MAX_ENUM_ASSIGNMENTS = 10**7
+# Each assignment costs a k x k outer product over the k support points, so
+# the guard bounds assignments * k^2.
+MAX_ENUM_WORK = 10**7
 
 
 @dataclass(frozen=True)
@@ -397,7 +343,8 @@ def pair_pmf_exact(model: BranchingModel, z_prev: Sequence[int]) -> PairPmf:
     Iterates every assignment of brood vectors to the parents, weights it by
     its probability, and counts ordered pairs of distinct children per
     (u, v): cross-family pairs contribute |u||v| per family pair, same-family
-    pairs |u|(|u|-1) on the diagonal. Guarded to small parent vectors.
+    pairs |u|(|u|-1) on the diagonal. Guarded to small parent vectors and to
+    at most ``MAX_ENUM_WORK`` assignments times squared support points.
     """
     z_prev = [int(c) for c in z_prev]
     m = sum(z_prev)
@@ -416,8 +363,10 @@ def pair_pmf_exact(model: BranchingModel, z_prev: Sequence[int]) -> PairPmf:
         for _ in range(c)
     ]
     total_assignments = math.prod(len(s) for s in support_of)
-    if total_assignments > MAX_ENUM_ASSIGNMENTS:
-        raise EnumerationTooLarge(f"{total_assignments} assignments exceed the guard")
+    if total_assignments * k * k > MAX_ENUM_WORK:
+        raise EnumerationTooLarge(
+            f"{total_assignments} assignments over {k} support points exceed the guard"
+        )
 
     table = np.zeros((k, k))
     for combo in itertools.product(*support_of):

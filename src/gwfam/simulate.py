@@ -13,7 +13,7 @@ families whose parents share a type are exchangeable given those counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import InvalidArgument, PopulationOverflow
 
 if TYPE_CHECKING:
     from .models import BranchingModel
-    from .spectral import PerronPair
 
 # Stream-kind tags keep the derivation paths of unrelated streams disjoint.
 _STREAM_FAMILY = 0
@@ -56,9 +55,6 @@ class SeedSpec:
     def sampling_stream(self, generation: int) -> np.random.Generator:
         """Stream used to pick which individuals of a generation are sampled."""
         return self._stream(_STREAM_SAMPLING, self.replicate, generation)
-
-    def with_replicate(self, replicate: int) -> "SeedSpec":
-        return replace(self, replicate=replicate)
 
     @staticmethod
     def cell_master(master_seed: int, cell_index: int) -> int:
@@ -115,7 +111,6 @@ def simulate_aggregate(
     z0: Sequence[int],
     n: int,
     seed: SeedSpec,
-    population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> GenerationTrace:
     """Simulate n generation transitions, tracking counts only.
 
@@ -145,9 +140,9 @@ def simulate_aggregate(
         for i, (counts, law) in enumerate(zip(per_type_counts, model.laws)):
             z_next += counts @ law.vectors
             s_hist[k, i] = counts @ law.sizes
-        if int(z_next.sum()) > population_cap:
+        if int(z_next.sum()) > DEFAULT_POPULATION_CAP:
             raise PopulationOverflow(
-                f"|Z_{k + 1}| = {int(z_next.sum())} exceeds cap {population_cap}"
+                f"|Z_{k + 1}| = {int(z_next.sum())} exceeds cap {DEFAULT_POPULATION_CAP}"
             )
         z_hist[k + 1] = z_next
     return GenerationTrace(
@@ -189,26 +184,3 @@ def sampling_view(trace: GenerationTrace) -> SamplingView:
         seed=trace.seed,
         generation=trace.n - 1,
     )
-
-
-def kesten_stigum_diagnostic(trace: GenerationTrace, pair: "PerronPair") -> list[dict]:
-    """Per-generation growth and composition diagnostics.
-
-    Reports the normalized size |Z_k| rho^-k (the proxy for the almost-sure
-    limit variable) and how far the type proportions sit from the stable
-    vector b. Purely observational; nothing is asserted.
-    """
-    totals = trace.totals().astype(float)
-    rows = []
-    for k in range(trace.n + 1):
-        props = trace.z[k] / totals[k]
-        rows.append(
-            {
-                "generation": k,
-                "population": int(totals[k]),
-                "w_proxy": totals[k] / pair.rho**k,
-                "proportions": tuple(float(p) for p in props),
-                "max_abs_deviation": float(np.abs(props - pair.b).max()),
-            }
-        )
-    return rows

@@ -59,7 +59,7 @@ class PerronPair:
         self.b.setflags(write=False)
 
 
-def perron(m: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> PerronPair:
+def perron(m: np.ndarray) -> PerronPair:
     """Dominant eigenpair of a positively regular nonnegative matrix.
 
     Power iteration runs on the transpose so the LEFT eigenvector of ``m`` is
@@ -81,12 +81,12 @@ def perron(m: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
     op = a / a.max()
     x = np.full(n, 1.0 / n)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, POWER_MAX_ITER + 1):
         y = op @ x
         y /= y.sum()
         delta = float(np.abs(y - x).sum())
         x = y
-        if delta < tol:
+        if delta < POWER_TOL:
             break
         op = op @ op
         op /= op.max()

@@ -174,6 +174,13 @@ class TestRunExperiment:
             {"ci_level": 1.5},
             {"cells": [{"label": "c"}]},
             "{not json",
+            {"replicates": "many"},
+            {"cells": []},
+            {"replicates": 2.7},
+            {"master_seed": 1.5},
+            {"workers": 2.5},
+            {"n": 3.9},
+            {"rule": {"kind": "fixed", "size": 2.7}},
         ],
     )
     def test_bad_config_is_one_error_line_before_any_output(self, change, tmp_path, capsys):
@@ -182,12 +189,12 @@ class TestRunExperiment:
             text = change
         else:
             for key, value in change.items():
-                if key == "model":
-                    cfg["cells"][0]["model"] = value
-                elif value is None:
-                    del cfg[key]
+                # model, n and rule are keys of the (first) cell
+                target = cfg["cells"][0] if key in ("model", "n", "rule") else cfg
+                if value is None:
+                    del target[key]
                 else:
-                    cfg[key] = value
+                    target[key] = value
             text = json.dumps(cfg)
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -489,9 +496,13 @@ class TestCli:
             ("oracle", "distinct", "--sizes", "2,x", "--r", "2"),
             ("oracle", "distinct", "--sizes", "0,1", "--r", "1"),
             ("histogram", "--input", "replicates.csv", "--bins", "0"),
+            ("estimate", "--input", "brood.csv"),
+            ("oracle", "pair", "--model", "rds", "--z-prev", "1,0,0,1"),
         ],
     )
-    def test_bad_input_is_one_error_line(self, args, capsys):
+    def test_bad_input_is_one_error_line(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("brood.csv").write_text("replicate,brood_a,brood_b\n0,1,1\n0,1.5,1\n")
         assert main(list(args)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

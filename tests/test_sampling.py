@@ -297,32 +297,37 @@ class TestProbDistinct:
             assert relative_gap(g.prob_distinct(counts, 400), exact) <= PROB_REL_GATE
 
 
+def prob_distinct_values(model, z0, n, r, replicates, master_seed):
+    # P(D_n) given each replicate tree's family sizes
+    return [
+        g.prob_distinct(
+            g.simulate_aggregate(model, z0, n, SeedSpec(master_seed, replicate=k))
+            .family_size_counts(),
+            r,
+        )
+        for k in range(replicates)
+    ]
+
+
 class TestEstimateProbDistinct:
     def test_mitosis_depth_three_exact(self, mitosis88):
         # 8 families of two children: zero Monte Carlo variance
-        res = g.estimate_prob_distinct(
-            mitosis88, (1, 1), 3, SampleSizeRule(kind="fixed", size=2), 5, SeedSpec(2)
-        )
-        assert res.estimate == pytest.approx(14.0 / 15.0, abs=1e-15)
-        assert res.ci[1] - res.ci[0] <= 1e-12
-        assert res.r == 2
+        values = prob_distinct_values(mitosis88, (1, 1), 3, 2, 5, 2)
+        assert np.mean(values) == pytest.approx(14.0 / 15.0, abs=1e-15)
+        assert max(values) - min(values) <= 1e-12
 
     def test_r_one_is_certain(self, rds):
-        res = g.estimate_prob_distinct(
-            rds, (1, 1, 1, 1), 3, SampleSizeRule(kind="fixed", size=1), 3, SeedSpec(3)
-        )
-        assert res.estimate == 1.0
+        assert np.mean(prob_distinct_values(rds, (1, 1, 1, 1), 3, 1, 3, 3)) == 1.0
 
     def test_trend_toward_one(self, mitosis88):
         rule = SampleSizeRule()  # r_n = n^2
         estimates = []
         for n in (8, 10, 12, 14, 18, 20):
-            res = g.estimate_prob_distinct(mitosis88, (1, 1), n, rule, 2, SeedSpec(4))
-            estimates.append(res.estimate)
+            r = rule.sample_size(n)
+            estimate = np.mean(prob_distinct_values(mitosis88, (1, 1), n, r, 2, 4))
+            estimates.append(estimate)
             # every estimate equals the zero-variance closed form
-            assert res.estimate == pytest.approx(
-                float(mitosis_prob_distinct(n, rule.sample_size(n))), rel=1e-12
-            )
+            assert estimate == pytest.approx(float(mitosis_prob_distinct(n, r)), rel=1e-12)
         # the union bound 1 - r^2 rho^-n is positive only once the validity
         # ratio is below 1: 0.60 at n = 18 and 0.85 at n = 20
         for n, estimate in zip((18, 20), estimates[4:]):
@@ -334,31 +339,25 @@ class TestEstimateProbDistinct:
     def test_indicator_frequency_consistent_with_exact(self, rds):
         # Monte Carlo of the 0/1 indicator vs the conditional-exact average
         n, r, reps = 6, 30, 150
-        rule = SampleSizeRule(kind="fixed", size=r)
-        res = g.estimate_prob_distinct(rds, (1, 1, 1, 1), n, rule, reps, SeedSpec(5))
         hits = 0
+        values = []
         for k in range(reps):
             seed = SeedSpec(5, replicate=k)
             trace = g.simulate_aggregate(rds, (1, 1, 1, 1), n, seed)
+            values.append(g.prob_distinct(trace.family_size_counts(), r))
             sample = g.draw_family_sample(g.sampling_view(trace), r, seed)
             hits += g.is_non_sibling(sample)
         freq = hits / reps
-        sigma = math.sqrt(max(res.estimate * (1 - res.estimate), 1e-4) / reps)
-        assert abs(freq - res.estimate) <= 4 * sigma
-
-    def test_rate_diagnostic_uses_half_max_alpha(self, mitosis88):
-        rule = SampleSizeRule()
-        res = g.estimate_prob_distinct(mitosis88, (1, 1), 8, rule, 2, SeedSpec(6))
-        assert res.alpha == pytest.approx(0.5)  # max_alpha = 1 for mitosis
-        expected = 2.0 ** (0.5 * 8) / rule.sample_size(8) ** 2 * (1.0 - res.estimate)
-        assert res.rate_diagnostic == pytest.approx(expected, rel=1e-12)
-        assert res.validity == pytest.approx(64.0**2 / 2.0**8)
+        estimate = float(np.mean(values))
+        sigma = math.sqrt(max(estimate * (1 - estimate), 1e-4) / reps)
+        assert abs(freq - estimate) <= 4 * sigma
 
 
 class TestSampleSizeRule:
     def test_polynomial_default(self):
         rule = SampleSizeRule()
         assert rule.sample_size(20) == 400
+        assert rule.validity(8, 2.0) == pytest.approx(64.0**2 / 2.0**8)
 
     def test_fixed(self):
         assert SampleSizeRule(kind="fixed", size=7).sample_size(99) == 7

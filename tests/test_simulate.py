@@ -20,7 +20,7 @@ class TestSeedSpec:
         b = s.family_stream(0, 1).random(8)
         c = s.family_stream(1, 0).random(8)
         d = s.sampling_stream(0).random(8)
-        e = s.with_replicate(1).family_stream(0, 0).random(8)
+        e = SeedSpec(123, replicate=1).family_stream(0, 0).random(8)
         streams = [a, b, c, d, e]
         for i in range(len(streams)):
             for j in range(i + 1, len(streams)):
@@ -95,8 +95,9 @@ class TestSimulateAggregate:
             assert np.all(np.abs(draws.mean(axis=0) - m[i]) <= 4 * sd / np.sqrt(reps) + 1e-12)
 
     def test_population_cap(self, mitosis88):
+        # |Z_40| = 2^41 passes DEFAULT_POPULATION_CAP = 2^40
         with pytest.raises(PopulationOverflow):
-            g.simulate_aggregate(mitosis88, (1, 1), 10, SeedSpec(1), population_cap=500)
+            g.simulate_aggregate(mitosis88, (1, 1), 40, SeedSpec(1))
 
     def test_non_integral_z0_rejected(self, mitosis88):
         with pytest.raises(ValueError):
@@ -192,11 +193,13 @@ class TestFamilyStream:
 
 
 class TestKestenStigumDiagnostic:
+    """|Z_k| rho^-k and the distance of Z_n / |Z_n| from the stable vector b."""
+
     def test_mitosis_w_proxy_constant(self, mitosis88):
         trace = g.simulate_aggregate(mitosis88, (1, 1), 10, SeedSpec(41))
         pair = g.perron(g.reproduction_matrix(mitosis88))
-        rows = g.kesten_stigum_diagnostic(trace, pair)
-        assert all(row["w_proxy"] == pytest.approx(2.0, abs=1e-12) for row in rows)
+        w_proxy = trace.totals() / pair.rho ** np.arange(trace.n + 1)
+        assert w_proxy == pytest.approx(np.full(trace.n + 1, 2.0), abs=1e-12)
 
     def test_proportions_approach_b(self, mitosis88):
         pair = g.perron(g.reproduction_matrix(mitosis88))
@@ -204,8 +207,7 @@ class TestKestenStigumDiagnostic:
         reps = 200
         for k in range(reps):
             trace = g.simulate_aggregate(mitosis88, (1, 1), 20, SeedSpec(43, replicate=k))
-            rows = g.kesten_stigum_diagnostic(trace, pair)
-            if rows[-1]["max_abs_deviation"] <= 0.02:
+            if np.abs(trace.z[-1] / trace.totals()[-1] - pair.b).max() <= 0.02:
                 hits += 1
         assert hits >= 0.95 * reps
 
@@ -215,7 +217,6 @@ class TestKestenStigumDiagnostic:
         reps = 200
         for k in range(reps):
             trace = g.simulate_aggregate(rds, (1, 1, 1, 1), 12, SeedSpec(47, replicate=k))
-            rows = g.kesten_stigum_diagnostic(trace, pair)
-            if rows[-1]["max_abs_deviation"] <= 0.05:
+            if np.abs(trace.z[-1] / trace.totals()[-1] - pair.b).max() <= 0.05:
                 hits += 1
         assert hits >= 0.90 * reps
