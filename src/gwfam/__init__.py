@@ -15,6 +15,7 @@ from .estimators import (
     amle_fit,
     mitosis_closed_form,
     mitosis_counts,
+    mitosis_size_biased_pmf,
     mitosis_twin_root,
     mom_confidence,
     mom_estimates,

@@ -4,8 +4,9 @@ Moment estimators invert the sample means of 1/|X| and X_i/|X| into the
 growth rate and stable type proportions, with Wald intervals from either the
 exact limit variances or their plug-in versions. Likelihood fitting treats
 the sample as iid from the size-biased limit law of a parametric family and
-maximizes numerically; for the mitosis family the stationary point is also
-available in closed form and doubles as the optimizer's oracle.
+maximizes numerically; for the mitosis family that law is available in
+closed form, and so is the stationary point, which doubles as the
+optimizer's oracle.
 """
 
 from __future__ import annotations
@@ -13,16 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import EmptySample, InvalidArgument, ModelConstructionFailed, OptimizerDiverged
-from .spectral import AsymptoticVariances, perron, reproduction_matrix
-
-if TYPE_CHECKING:
-    from .models import BranchingModel
+from .errors import (
+    EmptySample,
+    InvalidArgument,
+    ModelConstructionFailed,
+    OptimizerDiverged,
+    ParameterOutOfRange,
+)
+from .spectral import AsymptoticVariances
 
 GRADIENT_REL_STEP = 1e-6
 _PENALTY = -1e18  # objective value for impossible samples / invalid models
@@ -156,47 +160,46 @@ def _start_points(theta0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[np
 
 
 def amle_fit(
-    family: Callable[[np.ndarray], "BranchingModel"],
+    family: Callable[[np.ndarray, np.ndarray], np.ndarray],
     sample,
     theta0: Sequence[float],
     bounds: Sequence[tuple[float, float]],
 ) -> MleFit:
     """Fit a parametric family by maximizing the size-biased log likelihood.
 
-    The objective per observation is log|X_j| - log rho(theta)
-    + log sum_i b_i(theta) p_i(X_j; theta); rho and b are recomputed by power
-    iteration at every evaluation. Box-constrained quasi-Newton (L-BFGS-B)
-    with central-difference gradients, multi-started from theta0 plus four
-    deterministic jittered points. The reported stationarity residual is the
-    largest component of that gradient at the optimum, evaluated after the
-    optimizer has finished, so ``n_evaluations`` does not count it (None when
-    the optimum sits on the box boundary, where stationarity need not hold).
+    ``family(theta, broods)`` returns the size-biased limit probabilities
+    p_S(u; theta) as an array over the rows u of ``broods``, the sample's
+    distinct broods; the objective is sum_u c_u log p_S(u; theta) over their
+    counts c_u. A family that only builds a model gets these probabilities
+    from ``size_biased_pmf(m, perron(reproduction_matrix(m))).prob_of(u)``;
+    ``mitosis_size_biased_pmf`` is the mitosis family in closed form.
+
+    Box-constrained quasi-Newton (L-BFGS-B) with central-difference
+    gradients, multi-started from theta0 plus four deterministic jittered
+    points. The reported stationarity residual is the largest component of
+    that gradient at the optimum, evaluated after the optimizer has
+    finished, so ``n_evaluations`` does not count it (None when the optimum
+    sits on the box boundary, where stationarity need not hold).
     """
     broods = _as_brood_matrix(sample)
     unique, counts = np.unique(broods, axis=0, return_counts=True)
-    sizes = unique.sum(axis=1).astype(float)
     theta0 = np.asarray(theta0, dtype=float)
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     if theta0.shape != lo.shape or np.any(theta0 < lo) or np.any(theta0 > hi):
         raise ValueError("theta0 must lie inside the bounds box")
-    log_size_term = float(counts @ np.log(sizes))
-    r = int(counts.sum())
     evaluations = 0
 
     def loglik(theta: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
         try:
-            model = family(theta)
+            p = np.asarray(family(theta, unique), dtype=float)
         except Exception as exc:
             raise ModelConstructionFailed(f"family failed at theta={theta}") from exc
-        pair = perron(reproduction_matrix(model))
-        pmat = np.array([[law.prob_of(u) for u in unique] for law in model.laws])
-        mix = pair.b @ pmat
-        if np.any(mix <= 0.0):
+        if np.any(p <= 0.0):
             return _PENALTY
-        return log_size_term - r * math.log(pair.rho) + float(counts @ np.log(mix))
+        return float(counts @ np.log(p))
 
     def objective(theta: np.ndarray) -> float:
         return -loglik(theta)
@@ -246,6 +249,33 @@ def amle_fit(
 # ---------------------------------------------------------------------------
 # Mitosis family: closed-form estimators
 # ---------------------------------------------------------------------------
+
+
+def _binomial2(q: float) -> np.ndarray:
+    # Bin(2, q) at 0, 1, 2
+    return np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
+
+
+def mitosis_size_biased_pmf(theta: Sequence[float], broods) -> np.ndarray:
+    """p_S(u) of mitosis(alpha, theta) at each brood row u: the amle family.
+
+    theta is (alpha, theta). In closed form rho = 2 and the stable type
+    proportions are (b1, b2) = (1 - alpha, 1 - theta) / ((1 - alpha) + (1 - theta)),
+    so p_S(u) = b1 Bin(2, theta)(u_1) + b2 Bin(2, 1 - alpha)(u_1) when
+    |u| = 2, and 0 for every other brood.
+    """
+    alpha, th = float(theta[0]), float(theta[1])
+    if not (0.0 < alpha < 1.0 and 0.0 < th < 1.0):
+        raise ParameterOutOfRange(
+            f"mitosis parameters must lie strictly inside (0, 1), got ({alpha}, {th})"
+        )
+    broods = np.asarray(broods)
+    # b2 is its own quotient and Bin(2, 1 - alpha) is Bin(2, alpha) reversed:
+    # 1 - b1 and 1 - (1 - alpha) would cancel near the box edges
+    b1, b2 = np.array([1.0 - alpha, 1.0 - th]) / ((1.0 - alpha) + (1.0 - th))
+    by_unmarked = b1 * _binomial2(th) + b2 * _binomial2(alpha)[::-1]
+    on_support = (broods.shape[1] == 2) & (broods.min(axis=1) >= 0) & (broods.sum(axis=1) == 2)
+    return np.where(on_support, by_unmarked[np.clip(broods[:, 0], 0, 2)], 0.0)
 
 
 @dataclass(frozen=True)

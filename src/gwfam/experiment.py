@@ -37,10 +37,11 @@ from .estimators import (
     amle_fit,
     mitosis_closed_form,
     mitosis_counts,
+    mitosis_size_biased_pmf,
     mom_confidence,
     mom_estimates,
 )
-from .models import mitosis_model, model_from_dict
+from .models import model_from_dict
 from .sampling import (
     SampleSizeRule,
     _integral,
@@ -124,8 +125,13 @@ class ExperimentConfig:
                 estimator=str(d["estimator"]),
                 **{key: cast(d[key]) for key, cast in optional.items() if key in d},
             )
+        except GwfamError:
+            raise
         except KeyError as exc:
             raise InvalidArgument(f"experiment config lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            # a value of the wrong type, such as a string ci_level or a number for cells
+            raise InvalidArgument(f"experiment config has a wrongly typed value: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,7 @@ def _mom_row(trace, sample, r, var, ci_level) -> dict:
 
 def _amle_row(trace, sample, r, var, ci_level) -> dict:
     fit = amle_fit(
-        lambda th: mitosis_model(th[0], th[1]),
+        mitosis_size_biased_pmf,
         sample.broods,
         theta0=(0.5, 0.5),
         bounds=((1e-6, 1.0 - 1e-6), (1e-6, 1.0 - 1e-6)),
@@ -252,20 +258,31 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
         raise InvalidArgument(
             f"unknown estimator {config.estimator!r}; have {', '.join(ESTIMATORS)}"
         )
+    _normal_quantile(config.ci_level)  # rejects a level outside (0, 1)
+    spec_jsons = [json.dumps(cell.model_spec, sort_keys=True) for cell in config.cells]
+    for cell, spec_json in zip(config.cells, spec_jsons):
+        # built once here, before any output, and cached for every replicate
+        try:
+            _bundle(spec_json)
+        except GwfamError:
+            raise
+        except Exception as exc:
+            raise InvalidArgument(
+                f"cell {cell.label!r}: cannot build its model: {type(exc).__name__}: {exc}"
+            ) from exc
     if config.estimator == "amle" and any(
         cell.model_spec.get("builtin") != "mitosis" for cell in config.cells
     ):
         raise InvalidArgument("the amle estimator is wired up for the builtin mitosis family only")
-    _normal_quantile(config.ci_level)  # rejects a level outside (0, 1)
     t0 = time.perf_counter()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[dict] = []
     per_replicate_paths: dict[str, Path] = {}
-    for cell_index, cell in enumerate(config.cells):
+    for cell_index, (cell, spec_json) in enumerate(zip(config.cells, spec_jsons)):
         cell_seed = SeedSpec.cell_master(config.master_seed, cell_index)
         payload = {
-            "model_spec_json": json.dumps(cell.model_spec, sort_keys=True),
+            "model_spec_json": spec_json,
             "cell_master": cell_seed,
             "z0": cell.z0,
             "n": cell.n,

@@ -9,8 +9,6 @@ import dataclasses
 import hashlib
 import itertools
 import math
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +24,7 @@ from tests_support import (
     all_family_size_lists,
     mitosis_prob_distinct,
     random_primitive_model,
+    run_cli,
 )
 
 TABLE1_PAIRS = [(0.8, 0.8), (0.8, 0.9), (0.9, 0.7), (0.9, 0.9)]
@@ -311,7 +310,6 @@ def test_criterion_08b_non_sibling_level_at_n14(mitosis88, non_sibling_trend):
 
 def test_criterion_09a_optimizer_matches_closed_form():
     rng = np.random.default_rng(20_08_09)
-    family = lambda th: g.mitosis_model(th[0], th[1])
     bounds = ((1e-6, 1 - 1e-6), (1e-6, 1 - 1e-6))
     checked = 0
     worst = 0.0
@@ -327,7 +325,7 @@ def test_criterion_09a_optimizer_matches_closed_form():
         broods = np.array(
             [(2, 0)] * n1 + [(1, 1)] * nb + [(0, 2)] * n2, dtype=np.int64
         )
-        fit = g.amle_fit(family, broods, (0.5, 0.5), bounds)
+        fit = g.amle_fit(g.mitosis_size_biased_pmf, broods, (0.5, 0.5), bounds)
         roots = [(cf.alpha_hat, cf.theta_hat)]
         twin = g.mitosis_twin_root(n1, nb, n2, 400)
         if twin is not None:
@@ -362,14 +360,10 @@ def test_criterion_09b_proportion_ci_coverage(table1_cell_run):
 
 def test_criterion_10_cli_determinism(tmp_path):
     def run(out, workers):
-        res = subprocess.run(
-            [
-                sys.executable, "-m", "gwfam.cli", "experiment",
-                "--preset", "pdn-trend", "--replicates", "16",
-                "--seed", "77", "--workers", str(workers), "--out-dir", str(out),
-            ],
-            capture_output=True,
-            text=True,
+        res = run_cli(
+            "experiment",
+            "--preset", "pdn-trend", "--replicates", "16",
+            "--seed", "77", "--workers", str(workers), "--out-dir", str(out),
         )
         assert res.returncode == 0, res.stderr
         return {

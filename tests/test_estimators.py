@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gwfam as g
-from gwfam.errors import EmptySample
+from gwfam.errors import (
+    EmptySample,
+    ModelConstructionFailed,
+    OptimizerDiverged,
+    ParameterOutOfRange,
+)
 from gwfam.estimators import _normal_quantile
 from gwfam.simulate import SeedSpec
 from gwfam.spectral import AsymptoticVariances
+from tests_support import model_family
 
-
-def mitosis_family(theta):
-    return g.mitosis_model(theta[0], theta[1])
-
-
+# the mitosis amle family built through the model, the oracle of the closed form
+mitosis_oracle = model_family(lambda th: g.mitosis_model(th[0], th[1]))
+MITOSIS_FAMILIES = (g.mitosis_size_biased_pmf, mitosis_oracle)
 MITOSIS_BOUNDS = ((1e-6, 1.0 - 1e-6), (1e-6, 1.0 - 1e-6))
 
 
@@ -117,31 +123,76 @@ class TestPluginVariances:
         assert np.abs(plug.ratio_covariance - exact.ratio_covariance).max() <= 0.003
 
 
+class TestMitosisSizeBiasedPmf:
+    # Off-support rows: a wrong size, a three-child brood of one type, a
+    # negative count summing to two.
+    OFF_SUPPORT = ((1, 0), (3, 0), (1, 2), (3, -1))
+    ROWS = np.array([(2, 0), (1, 1), (0, 2), *OFF_SUPPORT], dtype=np.int64)
+
+    def test_matches_the_model_oracle_at_random_parameters(self):
+        rng = np.random.default_rng(2023)
+        for _ in range(200):
+            theta = rng.uniform(0.0, 1.0, size=2)
+            closed = g.mitosis_size_biased_pmf(theta, self.ROWS)
+            oracle = mitosis_oracle(theta, self.ROWS)
+            assert (np.abs(closed[:3] - oracle[:3]) <= 1e-14 * oracle[:3]).all()
+            assert (closed[3:] == 0.0).all() and (oracle[3:] == 0.0).all()
+
+    def test_matches_the_model_oracle_at_the_fit_box_edges(self):
+        # Relative to the law's largest mass: the model computes Bin(2, 1 - alpha)
+        # through 1 - (1 - alpha), which puts the oracle's (1, 1) mass 1.4e-11
+        # off at alpha = 1e-6; the exact test below covers each mass alone.
+        edges = (1e-6, 0.5, 1.0 - 1e-6)
+        for theta in itertools.product(edges, edges):
+            closed = g.mitosis_size_biased_pmf(theta, self.ROWS)
+            oracle = mitosis_oracle(theta, self.ROWS)
+            assert np.abs(closed - oracle).max() <= 1e-14 * oracle.max()
+            assert (closed[3:] == 0.0).all() and (oracle[3:] == 0.0).all()
+
+    def test_exact_near_the_box_edges(self):
+        # each mass against rational arithmetic on the same float parameters
+        edges = (1e-6, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-6)
+        for alpha, theta in itertools.product(edges, edges):
+            a, t = Fraction(alpha), Fraction(theta)
+            b1 = (1 - a) / ((1 - a) + (1 - t))
+            exact = [
+                b1 * t**2 + (1 - b1) * (1 - a) ** 2,
+                b1 * 2 * t * (1 - t) + (1 - b1) * 2 * a * (1 - a),
+                b1 * (1 - t) ** 2 + (1 - b1) * a**2,
+            ]
+            closed = g.mitosis_size_biased_pmf((alpha, theta), self.ROWS[:3])
+            for got, want in zip(closed, exact):
+                assert abs(Fraction(float(got)) - want) <= Fraction(1e-14) * want
+
+    @pytest.mark.parametrize("theta", [(0.0, 0.5), (0.5, 1.0), (1.2, 0.5)])
+    def test_outside_the_open_box_rejected(self, theta):
+        with pytest.raises(ParameterOutOfRange):
+            g.mitosis_size_biased_pmf(theta, self.ROWS)
+
+
 class TestAmleFit:
     def test_expected_counts_recover_parameters(self):
-        fit = g.amle_fit(
-            mitosis_family, counts_to_broods(52, 96, 252), (0.5, 0.5), MITOSIS_BOUNDS
-        )
-        assert fit.theta_hat == pytest.approx(np.array([0.9, 0.7]), abs=1e-4)
-        assert fit.converged
-        assert fit.stationarity_residual is not None
-        assert fit.stationarity_residual < 1e-3
+        for family in MITOSIS_FAMILIES:
+            fit = g.amle_fit(family, counts_to_broods(52, 96, 252), (0.5, 0.5), MITOSIS_BOUNDS)
+            assert fit.theta_hat == pytest.approx(np.array([0.9, 0.7]), abs=1e-4)
+            assert fit.converged
+            assert fit.stationarity_residual is not None
+            assert fit.stationarity_residual < 1e-3
 
     def test_symmetric_counts_find_one_of_the_twin_optima(self):
         # (0.8, 0.8) and (0.2, 0.2) produce the same size-biased law, so both
         # are exact global maximizers for these counts
-        fit = g.amle_fit(
-            mitosis_family, counts_to_broods(136, 128, 136), (0.4, 0.6), MITOSIS_BOUNDS
-        )
-        d_plus = np.abs(fit.theta_hat - np.array([0.8, 0.8])).max()
-        d_minus = np.abs(fit.theta_hat - np.array([0.2, 0.2])).max()
-        assert min(d_plus, d_minus) <= 1e-4
+        for family in MITOSIS_FAMILIES:
+            fit = g.amle_fit(family, counts_to_broods(136, 128, 136), (0.4, 0.6), MITOSIS_BOUNDS)
+            d_plus = np.abs(fit.theta_hat - np.array([0.8, 0.8])).max()
+            d_minus = np.abs(fit.theta_hat - np.array([0.2, 0.2])).max()
+            assert min(d_plus, d_minus) <= 1e-4
 
     def test_loglik_not_below_truth_on_exact_samples(self):
         broods = counts_to_broods(52, 96, 252)
 
         def loglik_at(theta):
-            model = mitosis_family(theta)
+            model = g.mitosis_model(*theta)
             pair = g.perron(g.reproduction_matrix(model))
             ps = g.size_biased_pmf(model, pair)
             return sum(
@@ -149,12 +200,26 @@ class TestAmleFit:
                 for u, c in [((2, 0), 52), ((1, 1), 96), ((0, 2), 252)]
             )
 
-        fit = g.amle_fit(mitosis_family, broods, (0.5, 0.5), MITOSIS_BOUNDS)
-        assert fit.loglik >= loglik_at((0.9, 0.7)) - 1e-8
+        for family in MITOSIS_FAMILIES:
+            fit = g.amle_fit(family, broods, (0.5, 0.5), MITOSIS_BOUNDS)
+            assert fit.loglik >= loglik_at((0.9, 0.7)) - 1e-8
+
+    def test_off_support_brood_diverges(self):
+        # no parameter gives a (3, 0) brood positive mass
+        broods = np.vstack((counts_to_broods(5, 5, 5), [(3, 0)]))
+        with pytest.raises(OptimizerDiverged):
+            g.amle_fit(g.mitosis_size_biased_pmf, broods, (0.5, 0.5), MITOSIS_BOUNDS)
+
+    def test_raising_family_is_model_construction_failed(self):
+        # the box reaches 0, where the mitosis family is undefined
+        with pytest.raises(ModelConstructionFailed):
+            g.amle_fit(
+                g.mitosis_size_biased_pmf, counts_to_broods(1, 1, 1), (0.0, 0.5), ((0.0, 1.0),) * 2
+            )
 
     def test_boundary_optimum_skips_stationarity(self):
         # one-parameter family whose likelihood increases toward the box edge
-        def family(theta):
+        def build(theta):
             q = float(theta[0])
             return g.branching_model(
                 [
@@ -163,6 +228,7 @@ class TestAmleFit:
                 ]
             )
 
+        family = model_family(build)
         broods = np.array([(2, 0)] * 30, dtype=np.int64)
         fit = g.amle_fit(family, broods, (0.5,), ((0.05, 0.95),))
         assert fit.theta_hat[0] == pytest.approx(0.95, abs=1e-9)
@@ -170,7 +236,7 @@ class TestAmleFit:
 
     def test_theta0_outside_box_rejected(self):
         with pytest.raises(ValueError):
-            g.amle_fit(mitosis_family, counts_to_broods(1, 1, 1), (0.5, 2.0), MITOSIS_BOUNDS)
+            g.amle_fit(mitosis_oracle, counts_to_broods(1, 1, 1), (0.5, 2.0), MITOSIS_BOUNDS)
 
 
 class TestMitosisClosedForm:
@@ -280,7 +346,7 @@ class TestAmleAgreesWithClosedForm:
             if cf.degenerate or not cf.in_range or 4 * n1 * n2 < nb * nb:
                 continue
             fit = g.amle_fit(
-                mitosis_family, counts_to_broods(n1, nb, n2), (0.5, 0.5), MITOSIS_BOUNDS
+                g.mitosis_size_biased_pmf, counts_to_broods(n1, nb, n2), (0.5, 0.5), MITOSIS_BOUNDS
             )
             roots = [(cf.alpha_hat, cf.theta_hat)]
             twin = g.mitosis_twin_root(n1, nb, n2, 400)
@@ -312,6 +378,6 @@ class TestAmleAgreesWithClosedForm:
             )
 
         fit = g.amle_fit(
-            mitosis_family, counts_to_broods(n1, nb, n2), (0.5, 0.5), MITOSIS_BOUNDS
+            g.mitosis_size_biased_pmf, counts_to_broods(n1, nb, n2), (0.5, 0.5), MITOSIS_BOUNDS
         )
         assert fit.loglik > loglik_at(cf.alpha_hat, cf.theta_hat) + 1.0

@@ -1,8 +1,6 @@
 import csv
 import dataclasses
 import json
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +19,7 @@ from gwfam.errors import (
 from gwfam.cli import main
 from gwfam.experiment import ExperimentCell, ExperimentConfig
 from gwfam.sampling import SampleSizeRule
+from tests_support import run_cli
 
 
 def tiny_config(out_dir, estimator="mitosis_closed_form", replicates=6, workers=1):
@@ -69,12 +68,17 @@ class TestRunExperiment:
             )
 
     def test_deterministic_across_runs_and_workers(self, tmp_path):
-        out1 = g.run_experiment(tiny_config(tmp_path / "a", replicates=8, workers=1))
-        out2 = g.run_experiment(tiny_config(tmp_path / "b", replicates=8, workers=4))
-        b1 = out1.per_replicate_paths["cell0"].read_bytes()
-        b2 = out2.per_replicate_paths["cell0"].read_bytes()
-        assert b1 == b2
-        assert out1.summary_path.read_bytes() == out2.summary_path.read_bytes()
+        for estimator in gwfam.experiment.ESTIMATORS:
+            out1 = g.run_experiment(
+                tiny_config(tmp_path / estimator / "a", estimator, replicates=8, workers=1)
+            )
+            out2 = g.run_experiment(
+                tiny_config(tmp_path / estimator / "b", estimator, replicates=8, workers=4)
+            )
+            b1 = out1.per_replicate_paths["cell0"].read_bytes()
+            b2 = out2.per_replicate_paths["cell0"].read_bytes()
+            assert b1 == b2, estimator
+            assert out1.summary_path.read_bytes() == out2.summary_path.read_bytes(), estimator
 
     def test_mom_estimator_columns(self, tmp_path):
         cfg = dataclasses.replace(tiny_config(tmp_path, estimator="mom"))
@@ -181,6 +185,12 @@ class TestRunExperiment:
             {"workers": 2.5},
             {"n": 3.9},
             {"rule": {"kind": "fixed", "size": 2.7}},
+            {"ci_level": "high"},
+            {"rule": {"kind": "polynomial", "exponent": "x"}},
+            {"cells": 5},
+            {"z0": 5},
+            {"model": 5},
+            {"model": {"builtin": "mitosis", "params": "x"}},
         ],
     )
     def test_bad_config_is_one_error_line_before_any_output(self, change, tmp_path, capsys):
@@ -189,8 +199,8 @@ class TestRunExperiment:
             text = change
         else:
             for key, value in change.items():
-                # model, n and rule are keys of the (first) cell
-                target = cfg["cells"][0] if key in ("model", "n", "rule") else cfg
+                # model, z0, n and rule are keys of the (first) cell
+                target = cfg["cells"][0] if key in ("model", "z0", "n", "rule") else cfg
                 if value is None:
                     del target[key]
                 else:
@@ -375,14 +385,6 @@ class TestHistograms:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             g.emit_histograms(tmp_path / "nope.csv", bins=5)
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "gwfam.cli", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 class TestCli:

@@ -1,10 +1,45 @@
 """Shared helpers for randomized tests and closed-form oracles."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 import gwfam as g
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """Run ``python -m gwfam.cli`` with this checkout's src first on PYTHONPATH,
+    so the child imports the same gwfam as the tests, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "gwfam.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def model_family(build):
+    """The amle family of a model builder, through the model's own laws.
+
+    ``family(theta, broods)`` builds ``build(theta)``, runs its power
+    iteration and looks each brood up in the size-biased law: the general
+    recipe, kept as the oracle of closed-form families.
+    """
+
+    def family(theta, broods):
+        m = build(theta)
+        law = g.size_biased_pmf(m, g.perron(g.reproduction_matrix(m)))
+        return np.array([law.prob_of(u) for u in broods])
+
+    return family
 
 
 def random_primitive_model(rng, max_types=4, max_points=6):
