@@ -58,7 +58,6 @@ from .sampling import (
 )
 from .simulate import (
     GenerationTrace,
-    SamplingView,
     SeedSpec,
     sampling_view,
     simulate_aggregate,

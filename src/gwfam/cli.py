@@ -36,7 +36,7 @@ from .sampling import (
     pair_pmf_exact,
     prob_distinct_exact,
 )
-from .simulate import SeedSpec, sampling_view, simulate_aggregate
+from .simulate import SeedSpec, simulate_aggregate
 from .spectral import (
     asymptotic_variances,
     perron,
@@ -114,6 +114,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = parse_model_arg(args.model)
+    if args.replicates < 1:
+        raise InvalidArgument(f"replicates must be >= 1, got {args.replicates}")
     header = ["replicate", "index", "parent_type", "parent_index", "non_sibling"] + [
         f"brood_{name}" for name in model.type_names
     ]
@@ -121,7 +123,7 @@ def _cmd_sample(args) -> int:
     for rep in range(args.replicates):
         seed = SeedSpec(args.seed, replicate=rep)
         trace = simulate_aggregate(model, _parse_ints(args.z0), args.n, seed)
-        sample = draw_family_sample(sampling_view(trace), args.r, seed)
+        sample = draw_family_sample(trace, args.r, seed)
         flag = int(is_non_sibling(sample))
         records = zip(
             sample.parent_types.tolist(), sample.parent_indices.tolist(), sample.broods.tolist()

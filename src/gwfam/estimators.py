@@ -46,7 +46,7 @@ def _as_brood_matrix(sample) -> np.ndarray:
         raise EmptySample("need a nonempty matrix of brood vectors")
     sizes = broods.sum(axis=1)
     if np.any(sizes < 1):
-        raise ValueError("every sampled brood must have at least one member")
+        raise InvalidArgument("every sampled brood must have at least one member")
     return broods
 
 

@@ -49,7 +49,7 @@ from .sampling import (
     is_non_sibling,
     prob_distinct,
 )
-from .simulate import SeedSpec, sampling_view, simulate_aggregate
+from .simulate import SeedSpec, simulate_aggregate
 from .spectral import asymptotic_variances, perron, reproduction_matrix
 
 DEFAULT_OUT_ENV = "GWFAM_OUTDIR"
@@ -222,7 +222,7 @@ def _replicate_row(task: tuple) -> dict:
         seed = SeedSpec(payload["cell_master"], replicate=k)
         r = payload["r"]
         trace = simulate_aggregate(model, payload["z0"], payload["n"], seed)
-        sample = draw_family_sample(sampling_view(trace), r, seed)
+        sample = draw_family_sample(trace, r, seed)
         row = {
             "replicate": k,
             "population": int(trace.totals()[-1]),
@@ -251,7 +251,10 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
     replays it.
     """
     if config.replicates < 1:
-        raise GwfamError(f"replicates must be >= 1, got {config.replicates}")
+        raise InvalidArgument(f"replicates must be >= 1, got {config.replicates}")
+    if config.workers < 1:
+        raise InvalidArgument(f"workers must be >= 1, got {config.workers}")
+    SeedSpec(config.master_seed)  # rejects a seed outside 64 unsigned bits
     if not config.cells:
         raise InvalidArgument("an experiment needs at least one cell")
     if config.estimator not in ESTIMATORS:

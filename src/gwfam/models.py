@@ -36,7 +36,7 @@ PROB_SUM_CHECK = 1e-12
 def _as_counts(u: Sequence[int], n_types: int | None = None) -> tuple[int, ...]:
     v = tuple(int(x) for x in u)
     if any(x < 0 for x in v):
-        raise ValueError(f"offspring counts must be nonnegative, got {v}")
+        raise InvalidArgument(f"offspring counts must be nonnegative, got {v}")
     if n_types is not None and len(v) != n_types:
         raise DimensionMismatch(f"expected {n_types} components, got {len(v)}")
     return v
@@ -123,14 +123,14 @@ def offspring_law(entries: Iterable[tuple[Sequence[int], float]]) -> OffspringLa
     """
     entries = list(entries)
     if not entries:
-        raise ValueError("offspring law needs a nonempty support")
+        raise InvalidArgument("offspring law needs a nonempty support")
     n_types = len(_as_counts(entries[0][0]))
     seen: dict[tuple[int, ...], float] = {}
     for u, p in entries:
         v = _as_counts(u, n_types)
         p = float(p)
         if p <= 0.0:
-            raise ValueError(f"support probability must be positive, got {p} for {v}")
+            raise InvalidArgument(f"support probability must be positive, got {p} for {v}")
         if sum(v) == 0:
             raise ZeroVectorInSupport("offspring law places mass on the zero vector")
         if v in seen:
@@ -188,7 +188,7 @@ def branching_model(
     """Assemble laws (index = parent type) into a validated model."""
     laws = tuple(laws)
     if not laws:
-        raise ValueError("model needs at least one offspring law")
+        raise InvalidArgument("model needs at least one offspring law")
     n_types = laws[0].n_types
     if len(laws) != n_types:
         raise DimensionMismatch(

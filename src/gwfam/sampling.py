@@ -2,10 +2,11 @@
 
 Sampling picks r distinct individuals uniformly from a generation; each one
 reports its whole family (brood vector) and parent identity. Given the final
-transition's family counts per (parent type, support point), families whose
-parents share a type are exchangeable, so the children are laid out in one
-block per (type, support point) and a uniform r-subset of them is drawn by
-index. The cost does not depend on the population size.
+transition's family counts per (parent type, support point), which the
+simulated trace keeps, families whose parents share a type are exchangeable,
+so the children are laid out in one block per (type, support point) and a
+uniform r-subset of them is drawn by index, straight from the trace. The cost
+does not depend on the population size.
 
 The probability that a sample hits r distinct families given the realized
 family sizes, e_r(sizes) / C(N, r), is what the estimators run, in floats
@@ -33,7 +34,7 @@ from .errors import (
     SampleExceedsPopulation,
 )
 from .models import BranchingModel, SupportLookup
-from .simulate import SamplingView, SeedSpec
+from .simulate import GenerationTrace, SeedSpec, sampling_view
 from .spectral import SizeBiasedLaw
 
 
@@ -44,8 +45,6 @@ class FamilySample:
     broods: np.ndarray
     parent_types: np.ndarray
     parent_indices: np.ndarray
-    generation: int
-    population_total: int
 
     def __post_init__(self):
         self.broods.setflags(write=False)
@@ -57,34 +56,37 @@ class FamilySample:
         return self.broods.shape[0]
 
 
-def draw_family_sample(view: SamplingView, r: int, seed: SeedSpec | None = None) -> FamilySample:
-    """Sample r distinct individuals uniformly, without replacement.
+def draw_family_sample(
+    trace: GenerationTrace, r: int, seed: SeedSpec | None = None
+) -> FamilySample:
+    """Sample r distinct individuals of generation n uniformly, without replacement.
 
-    The view's children are laid out in blocks: type-major, then support
-    points in ``law.vectors`` order, block (i, j) holding the
-    ``brood_counts[i][j]`` families of that brood one after another. Floyd's
-    subset algorithm picks r distinct child indices and a seeded permutation
-    puts them in uniformly random order. ``parent_indices`` numbers the
-    families of each parent type in that layout, so two records share a
-    parent exactly when they share (parent type, parent index).
+    The final transition's children are laid out in blocks: type-major, then
+    support points in ``law.vectors`` order, block (i, j) holding the
+    ``last_brood_counts[i][j]`` families of that brood one after another.
+    Floyd's subset algorithm picks r distinct child indices from
+    ``sampling_stream(n - 1)`` of ``seed`` (the trace's own by default) and a
+    permutation from the same stream puts them in uniformly random order.
+    ``parent_indices`` numbers the families of each parent type in that
+    layout, so two records share a parent exactly when they share (parent
+    type, parent index).
     """
+    brood_counts = sampling_view(trace).last_brood_counts
     r = int(r)
     if r < 0:
         raise InvalidSampleSize(f"sample size must be >= 0, got {r}")
-    n_children = view.total_children()
-    if r > n_children:
-        raise SampleExceedsPopulation(f"asked for {r} of {n_children} individuals")
-    if seed is None:
-        seed = view.seed
-    rng = seed.sampling_stream(view.generation)
-    chosen = _distinct_uniform_indices(rng, n_children, r)[rng.permutation(r)]
-    laws = view.model.laws
-    counts = np.concatenate(view.brood_counts)
+    laws = trace.model.laws
+    counts = np.concatenate(brood_counts)
     sizes = np.concatenate([law.sizes for law in laws])
     block_children = counts * sizes
     block_end = np.cumsum(block_children)
+    n_children = int(block_end[-1])
+    if r > n_children:
+        raise SampleExceedsPopulation(f"asked for {r} of {n_children} individuals")
+    rng = (seed or trace.seed).sampling_stream(trace.n - 1)
+    chosen = _distinct_uniform_indices(rng, n_children, r)[rng.permutation(r)]
     # first family ordinal of each block among the families of its parent type
-    family_start = np.concatenate([np.cumsum(c) - c for c in view.brood_counts])
+    family_start = np.concatenate([np.cumsum(c) - c for c in brood_counts])
     block = np.searchsorted(block_end, chosen, side="right")
     offset = chosen - (block_end - block_children)[block]
     block_type = np.repeat(np.arange(len(laws)), [law.n_points for law in laws])
@@ -92,8 +94,6 @@ def draw_family_sample(view: SamplingView, r: int, seed: SeedSpec | None = None)
         broods=np.concatenate([law.vectors for law in laws])[block],
         parent_types=block_type[block],
         parent_indices=family_start[block] + offset // sizes[block],
-        generation=view.generation + 1,
-        population_total=n_children,
     )
 
 
@@ -131,14 +131,12 @@ class SampleSizeRule:
     exponent: float = 2.0
     size: int = 0
 
-    def sample_size(self, n: int) -> int:
-        if self.kind == "polynomial":
-            r = round(float(n) ** self.exponent)
-        elif self.kind == "fixed":
-            r = self.size
-        else:
+    def __post_init__(self):
+        if self.kind not in ("polynomial", "fixed"):
             raise InvalidSampleSize(f"unknown rule kind {self.kind!r}")
-        r = int(r)
+
+    def sample_size(self, n: int) -> int:
+        r = int(round(float(n) ** self.exponent) if self.kind == "polynomial" else self.size)
         if r < 1:
             raise InvalidSampleSize(f"rule produced r = {r} at n = {n}")
         return r
@@ -150,18 +148,14 @@ class SampleSizeRule:
     def to_dict(self) -> dict:
         if self.kind == "polynomial":
             return {"kind": "polynomial", "exponent": self.exponent}
-        if self.kind == "fixed":
-            return {"kind": "fixed", "size": self.size}
-        raise ValueError("only polynomial/fixed rules serialize")
+        return {"kind": "fixed", "size": self.size}
 
     @staticmethod
     def from_dict(d: dict) -> "SampleSizeRule":
         kind = d["kind"]
-        if kind == "polynomial":
-            return SampleSizeRule(kind="polynomial", exponent=float(d.get("exponent", 2.0)))
         if kind == "fixed":
             return SampleSizeRule(kind="fixed", size=_integral(d["size"], "rule size"))
-        raise InvalidSampleSize(f"unknown rule kind {kind!r}")
+        return SampleSizeRule(kind=kind, exponent=float(d.get("exponent", 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def pair_pmf_exact(model: BranchingModel, z_prev: Sequence[int]) -> PairPmf:
     if m > MAX_ENUM_PARENTS:
         raise EnumerationTooLarge(f"{m} parents exceeds the enumeration guard")
     if m < 1:
-        raise ValueError("need at least one parent")
+        raise InvalidArgument("need at least one parent")
     vectors, probs = model.support_union
     k = vectors.shape[0]
     sizes = vectors.sum(axis=1).astype(float)
@@ -396,7 +390,7 @@ def pair_pmf_closed_form(
     """
     z_prev = [int(c) for c in z_prev]
     if sum(z_prev) < 1:
-        raise ValueError("need at least one parent")
+        raise InvalidArgument("need at least one parent")
     vectors, probs = model.support_union
     k = vectors.shape[0]
     sizes = vectors.sum(axis=1)
@@ -471,38 +465,15 @@ def pair_pmf_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def empirical_tv_to_limit(
-    samples: Sequence[FamilySample], ps: SizeBiasedLaw
-) -> tuple[float, float]:
-    """Total-variation distances of pooled samples from the limit law.
-
-    Returns (tv of the pooled brood marginal vs p_S, tv of the first two
-    broods' joint vs the product p_S x p_S). The pair distance uses one pair
-    per sample and is NaN when no sample has two records.
-    """
+def empirical_tv_to_limit(samples: Sequence[FamilySample], ps: SizeBiasedLaw) -> float:
+    """Total-variation distance of the pooled samples' brood marginal from p_S."""
     marginal: Counter = Counter()
-    pairs: Counter = Counter()
-    n_marginal = 0
-    n_pairs = 0
     for sample in samples:
-        broods = [tuple(row) for row in sample.broods.tolist()]
-        marginal.update(broods)
-        n_marginal += len(broods)
-        if len(broods) >= 2:
-            pairs[broods[0], broods[1]] += 1
-            n_pairs += 1
+        marginal.update(tuple(row) for row in sample.broods.tolist())
+    n_marginal = sum(marginal.values())
     if n_marginal == 0:
         raise ValueError("no sampled broods")
     support = {tuple(v) for v in ps.vectors.tolist()}
-    tv_marginal = 0.5 * sum(
-        abs(marginal.get(u, 0) / n_marginal - ps.prob_of(u))
-        for u in support | set(marginal)
+    return 0.5 * sum(
+        abs(marginal.get(u, 0) / n_marginal - ps.prob_of(u)) for u in support | set(marginal)
     )
-    if n_pairs == 0:
-        return tv_marginal, float("nan")
-    pair_keys = {(u, v) for u in support for v in support} | set(pairs)
-    tv_pair = 0.5 * sum(
-        abs(pairs.get((u, v), 0) / n_pairs - ps.prob_of(u) * ps.prob_of(v))
-        for (u, v) in pair_keys
-    )
-    return tv_marginal, tv_pair

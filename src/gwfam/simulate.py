@@ -7,8 +7,9 @@ counts changes the draws, so any replicate can be regenerated from its seed.
 Simulation advances whole generations by drawing, per parent type, one
 multinomial count over the law's support (cost O(types * support) per step,
 independent of the population). The final transition is drawn the same way;
-its per-support family counts are kept, and they are all a sampler needs:
-families whose parents share a type are exchangeable given those counts.
+its per-support family counts are kept on the trace, and they are all a
+sampler needs: families whose parents share a type are exchangeable given
+those counts.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ class SeedSpec:
 
     def __post_init__(self):
         if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+            raise InvalidArgument(f"master_seed {self.master_seed} is outside 64 unsigned bits")
         if not 0 <= int(self.replicate) < 2**32:
-            raise ValueError("replicate must fit in 32 unsigned bits")
+            raise InvalidArgument(f"replicate {self.replicate} is outside 32 unsigned bits")
 
     def _stream(self, *path: int) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=tuple(path))
@@ -96,10 +97,8 @@ class GenerationTrace:
 
     def family_size_counts(self) -> dict[int, int]:
         """Multiset {family size: count} of the final transition's families."""
-        if self.last_brood_counts is None:
-            raise ValueError("trace has no simulated transition")
         out: dict[int, int] = {}
-        for counts, law in zip(self.last_brood_counts, self.model.laws):
+        for counts, law in zip(sampling_view(self).last_brood_counts, self.model.laws):
             for size, c in zip(law.sizes, counts):
                 if c:
                     out[int(size)] = out.get(int(size), 0) + int(c)
@@ -116,7 +115,7 @@ def simulate_aggregate(
 
     Each transition draws, per parent type, one multinomial over the law's
     support from ``seed.family_stream(k, i)``. The final transition's counts
-    are kept as ``last_brood_counts`` for :func:`sampling_view`.
+    are kept as ``last_brood_counts`` for :func:`gwfam.draw_family_sample`.
     """
     raw = np.asarray(z0)
     z0 = raw.astype(np.int64)
@@ -150,37 +149,8 @@ def simulate_aggregate(
     )
 
 
-@dataclass(frozen=True)
-class SamplingView:
-    """The final transition of a trace, as family counts per support point.
-
-    ``brood_counts[i][j]`` families have a type-i parent and brood
-    ``model.laws[i].vectors[j]``; they produced generation ``generation + 1``.
-    """
-
-    model: "BranchingModel"
-    brood_counts: tuple[np.ndarray, ...]
-    seed: SeedSpec
-    generation: int
-
-    def child_totals(self) -> np.ndarray:
-        """Children per parent type (the S vector of this transition)."""
-        return np.array(
-            [int(c @ law.sizes) for c, law in zip(self.brood_counts, self.model.laws)],
-            dtype=np.int64,
-        )
-
-    def total_children(self) -> int:
-        return int(self.child_totals().sum())
-
-
-def sampling_view(trace: GenerationTrace) -> SamplingView:
-    """The trace's final transition, ready for :func:`gwfam.draw_family_sample`."""
+def sampling_view(trace: GenerationTrace) -> GenerationTrace:
+    """The trace itself, once it is known to hold a simulated transition."""
     if trace.last_brood_counts is None:
-        raise ValueError("need a trace with at least one simulated transition")
-    return SamplingView(
-        model=trace.model,
-        brood_counts=trace.last_brood_counts,
-        seed=trace.seed,
-        generation=trace.n - 1,
-    )
+        raise InvalidArgument("need a trace with at least one simulated transition")
+    return trace

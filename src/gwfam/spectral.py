@@ -113,8 +113,6 @@ class SizeBiasedLaw(SupportLookup):
 
     vectors: np.ndarray
     probs: np.ndarray
-    rho: float
-    b: np.ndarray
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
@@ -129,7 +127,7 @@ def size_biased_pmf(model: BranchingModel, pair: PerronPair) -> SizeBiasedLaw:
     vectors, probs = model.support_union
     sizes = vectors.sum(axis=1)
     mass = (sizes / pair.rho) * (pair.b @ probs)
-    return SizeBiasedLaw(vectors=vectors, probs=mass, rho=pair.rho, b=pair.b)
+    return SizeBiasedLaw(vectors=vectors, probs=mass)
 
 
 def moment_identities(ps: SizeBiasedLaw) -> tuple[float, np.ndarray]:

@@ -298,7 +298,7 @@ class TestMitosisClosedForm:
     def test_counts_from_sample(self, mitosis88):
         seed = SeedSpec(15)
         trace = g.simulate_aggregate(mitosis88, (1, 1), 10, seed)
-        sample = g.draw_family_sample(g.sampling_view(trace), 50, seed)
+        sample = g.draw_family_sample(trace, 50, seed)
         n1, nb, n2 = g.mitosis_counts(sample)
         assert n1 + nb + n2 == 50
 
@@ -321,7 +321,7 @@ class TestCiCoverage:
         for k in range(reps):
             seed = SeedSpec(1606, replicate=k)
             trace = g.simulate_aggregate(mitosis88, (1, 1), 16, seed)
-            sample = g.draw_family_sample(g.sampling_view(trace), 256, seed)
+            sample = g.draw_family_sample(trace, 256, seed)
             est = g.mom_confidence(g.mom_estimates(sample.broods), var, 0.95)
             if est.ci_b[0, 0] <= 0.5 <= est.ci_b[0, 1]:
                 covered += 1

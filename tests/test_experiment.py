@@ -151,7 +151,7 @@ class TestRunExperiment:
             assert manifest["replicate"] == first > 0
             seed = g.SeedSpec(manifest["cell_seed"], manifest["replicate"])
             with pytest.raises(SampleExceedsPopulation):
-                g.draw_family_sample(g.sampling_view(traces[first]), 20, seed)
+                g.draw_family_sample(traces[first], 20, seed)
             # the finished cell keeps its CSV; the failing cell and the summary write none
             assert sorted(p.name for p in out_dir.iterdir()) == [
                 "tiny__FAILED.json",
@@ -191,6 +191,8 @@ class TestRunExperiment:
             {"z0": 5},
             {"model": 5},
             {"model": {"builtin": "mitosis", "params": "x"}},
+            {"master_seed": -1},
+            {"workers": 0},
         ],
     )
     def test_bad_config_is_one_error_line_before_any_output(self, change, tmp_path, capsys):
@@ -500,14 +502,40 @@ class TestCli:
             ("histogram", "--input", "replicates.csv", "--bins", "0"),
             ("estimate", "--input", "brood.csv"),
             ("oracle", "pair", "--model", "rds", "--z-prev", "1,0,0,1"),
+            ("simulate", "--model", "rds", "--z0", "1,1,1,1", "--n", "3", "--seed", "-1"),
+            ("simulate", "--model", "rds", "--z0", "1,1,1,1", "--n", "3", "--seed", "1",
+             "--replicate", "-1"),
+            ("experiment", "--preset", "table1", "--seed", "-5", "--out-dir", "out"),
+            ("experiment", "--preset", "table1", "--replicates", "2", "--workers", "0",
+             "--out-dir", "out"),
+            ("experiment", "--preset", "table1", "--replicates", "2", "--workers", "-3",
+             "--out-dir", "out"),
+            ("validate", "--model", "negative_count.json"),
+            ("validate", "--model", "zero_prob.json"),
+            ("validate", "--model", "no_laws.json"),
+            ("estimate", "--input", "empty_brood.csv"),
+            ("oracle", "pair", "--model", "mitosis:alpha=0.8,theta=0.8", "--z-prev", "0,0"),
+            ("sample", "--model", "rds", "--z0", "1,1,1,1", "--n", "3", "--r", "2",
+             "--seed", "1", "--replicates", "-1"),
         ],
     )
     def test_bad_input_is_one_error_line(self, args, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("brood.csv").write_text("replicate,brood_a,brood_b\n0,1,1\n0,1.5,1\n")
+        Path("empty_brood.csv").write_text("replicate,brood_a,brood_b\n0,1,1\n0,0,0\n")
+        mate = {"support": [[1, 1]], "probs": [1.0]}
+        for name, law in [
+            ("negative_count", {"support": [[2, -1], [0, 2]], "probs": [0.5, 0.5]}),
+            ("zero_prob", {"support": [[1, 0], [0, 2]], "probs": [1.0, 0.0]}),
+        ]:
+            Path(f"{name}.json").write_text(json.dumps({"laws": [law, mate]}))
+        Path("no_laws.json").write_text(json.dumps({"laws": []}))
+        files = sorted(Path().iterdir())
         assert main(list(args)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+        assert sorted(Path().iterdir()) == files  # nothing written
 
     def test_invalid_model_flagged(self, tmp_path):
         path = tmp_path / "bad.json"

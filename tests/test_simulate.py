@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gwfam as g
-from gwfam.errors import PopulationOverflow
+from gwfam.errors import InvalidArgument, PopulationOverflow
 from gwfam.sampling import _distinct_uniform_indices
 from gwfam.simulate import SeedSpec
 
@@ -118,21 +118,21 @@ class TestSimulateAggregate:
 
 
 class TestFamilyStream:
-    """The final transition's families, as seen through ``sampling_view``."""
+    """The final transition's families, sampled straight from the trace."""
 
     def test_tiny_counts_forced(self, mitosis88):
-        view = g.sampling_view(g.simulate_aggregate(mitosis88, (1, 1), 1, SeedSpec(7)))
-        assert [int(c.sum()) for c in view.brood_counts] == [1, 1]
-        assert view.child_totals().tolist() == [2, 2]
-        sample = g.draw_family_sample(view, 4)
+        trace = g.simulate_aggregate(mitosis88, (1, 1), 1, SeedSpec(7))
+        assert [int(c.sum()) for c in trace.last_brood_counts] == [1, 1]
+        assert trace.child_totals[-1].tolist() == [2, 2]
+        sample = g.draw_family_sample(trace, 4)
         ids = sorted(zip(sample.parent_types.tolist(), sample.parent_indices.tolist()))
         assert ids == [(0, 0), (0, 0), (1, 0), (1, 0)]
 
     def test_replay_identical(self, rds):
         seed = SeedSpec(21)
-        first = g.sampling_view(g.simulate_aggregate(rds, (5, 5, 5, 5), 1, seed))
-        second = g.sampling_view(g.simulate_aggregate(rds, (5, 5, 5, 5), 1, seed))
-        for a, b in zip(first.brood_counts, second.brood_counts):
+        first = g.simulate_aggregate(rds, (5, 5, 5, 5), 1, seed)
+        second = g.simulate_aggregate(rds, (5, 5, 5, 5), 1, seed)
+        for a, b in zip(first.last_brood_counts, second.last_brood_counts):
             assert (a == b).all()
         x = g.draw_family_sample(first, 30, seed)
         y = g.draw_family_sample(second, 30, seed)
@@ -143,8 +143,8 @@ class TestFamilyStream:
     def test_canonical_order(self, rds):
         # a census of every child finds each parent once per child, under
         # ids 0..z_prev[i]-1 of its type, with one brood of that many members
-        view = g.sampling_view(g.simulate_aggregate(rds, (3, 0, 2, 1), 1, SeedSpec(22)))
-        sample = g.draw_family_sample(view, view.total_children())
+        trace = g.simulate_aggregate(rds, (3, 0, 2, 1), 1, SeedSpec(22))
+        sample = g.draw_family_sample(trace, int(trace.totals()[-1]))
         families = {}
         for t, p, brood in zip(
             sample.parent_types.tolist(), sample.parent_indices.tolist(), sample.broods.tolist()
@@ -158,38 +158,56 @@ class TestFamilyStream:
     def test_aggregate_final_step_equals_materialization(self, rds):
         seed = SeedSpec(23, replicate=1)
         trace = g.simulate_aggregate(rds, (1, 1, 1, 1), 6, seed)
-        view = g.sampling_view(trace)
         summed = np.zeros(4, dtype=np.int64)
-        for i, (counts, law) in enumerate(zip(view.brood_counts, rds.laws)):
+        for i, (counts, law) in enumerate(zip(trace.last_brood_counts, rds.laws)):
             assert counts.sum() == trace.z[5, i]
             assert counts @ law.sizes == trace.child_totals[5, i]
             summed += counts @ law.vectors
         assert (summed == trace.z[6]).all()
-        assert (view.child_totals() == trace.child_totals[5]).all()
-        assert view.total_children() == trace.totals()[6]
 
     def test_select_children_matches_iteration(self, rds):
         seed = SeedSpec(33)
-        view = g.sampling_view(g.simulate_aggregate(rds, (10, 10, 10, 10), 1, seed))
+        trace = g.simulate_aggregate(rds, (10, 10, 10, 10), 1, seed)
         # the block layout built the slow way: type-major, support points in
         # law order, family ids counted per parent type
         children = []
-        for i, (counts, law) in enumerate(zip(view.brood_counts, rds.laws)):
+        for i, (counts, law) in enumerate(zip(trace.last_brood_counts, rds.laws)):
             family = 0
             for c, v in zip(counts.tolist(), law.vectors):
                 for _ in range(c):
                     children.extend([(i, family, tuple(v.tolist()))] * int(v.sum()))
                     family += 1
-        assert len(children) == view.total_children()
+        assert len(children) == trace.totals()[-1]
         r = len(children)
-        sample = g.draw_family_sample(view, r, seed)
-        rng = seed.sampling_stream(view.generation)
+        sample = g.draw_family_sample(trace, r, seed)
+        rng = seed.sampling_stream(trace.n - 1)
         chosen = _distinct_uniform_indices(rng, r, r)[rng.permutation(r)]
         for pos, i in enumerate(chosen.tolist()):
             t, p, brood = children[i]
             assert sample.parent_types[pos] == t
             assert sample.parent_indices[pos] == p
             assert tuple(sample.broods[pos].tolist()) == brood
+
+    @pytest.mark.parametrize(
+        "model, z0", [(g.mitosis_model(0.8, 0.8), (1, 1)), (g.rds_model(), (1, 1, 1, 1))]
+    )
+    def test_sampling_view_call_draws_the_same_sample(self, model, z0):
+        # the benchmark replays a replicate through sampling_view(trace)
+        seed = SeedSpec(61, replicate=2)
+        trace = g.simulate_aggregate(model, z0, 8, seed)
+        assert g.sampling_view(trace) is trace
+        via_view = g.draw_family_sample(g.sampling_view(trace), 64, seed)
+        direct = g.draw_family_sample(trace, 64, seed)
+        assert (via_view.broods == direct.broods).all()
+        assert (via_view.parent_types == direct.parent_types).all()
+        assert (via_view.parent_indices == direct.parent_indices).all()
+
+    def test_trace_without_transition_rejected(self, mitosis88):
+        trace = g.simulate_aggregate(mitosis88, (2, 3), 0, SeedSpec(1))
+        with pytest.raises(InvalidArgument):
+            g.draw_family_sample(trace, 1)
+        with pytest.raises(InvalidArgument):
+            trace.family_size_counts()
 
 
 class TestKestenStigumDiagnostic:
