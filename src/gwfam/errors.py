@@ -59,7 +59,7 @@ class EmptySample(GwfamError):
 
 
 class OptimizerDiverged(GwfamError):
-    """Every optimizer start failed to produce a usable fit."""
+    """The likelihood fit had no usable start: zero likelihood at theta0."""
 
 
 class ModelConstructionFailed(GwfamError):

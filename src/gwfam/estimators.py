@@ -4,9 +4,9 @@ Moment estimators invert the sample means of 1/|X| and X_i/|X| into the
 growth rate and stable type proportions, with Wald intervals from either the
 exact limit variances or their plug-in versions. Likelihood fitting treats
 the sample as iid from the size-biased limit law of a parametric family and
-maximizes numerically; for the mitosis family that law is available in
-closed form, and so is the stationary point, which doubles as the
-optimizer's oracle.
+maximizes it by damped Fisher scoring; for the mitosis family that law is
+available in closed form, and so is the stationary point, which doubles as
+the fit's oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     EmptySample,
@@ -29,7 +28,7 @@ from .errors import (
 from .spectral import AsymptoticVariances
 
 GRADIENT_REL_STEP = 1e-6
-_PENALTY = -1e18  # objective value for impossible samples / invalid models
+_MAX_STEPS = 200  # scoring steps per climb, accepted or not
 
 
 def _normal_quantile(level: float) -> float:
@@ -141,24 +140,6 @@ class MleFit:
         self.theta_hat.setflags(write=False)
 
 
-def _start_points(theta0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
-    # theta0 plus four deterministic starts: +/-25% of the box width in the
-    # uniform directions and +/-45% in the alternating ones, covering all
-    # sign quadrants in two dimensions.
-    starts = [theta0]
-    width = hi - lo
-    alternating = np.array([1.0 if d % 2 == 0 else -1.0 for d in range(theta0.size)])
-    ones = np.ones(theta0.size)
-    for frac, direction in (
-        (0.25, ones),
-        (-0.25, ones),
-        (0.45, alternating),
-        (-0.45, alternating),
-    ):
-        starts.append(np.clip(theta0 + frac * width * direction, lo, hi))
-    return starts
-
-
 def amle_fit(
     family: Callable[[np.ndarray, np.ndarray], np.ndarray],
     sample,
@@ -167,82 +148,95 @@ def amle_fit(
 ) -> MleFit:
     """Fit a parametric family by maximizing the size-biased log likelihood.
 
-    ``family(theta, broods)`` returns the size-biased limit probabilities
-    p_S(u; theta) as an array over the rows u of ``broods``, the sample's
-    distinct broods; the objective is sum_u c_u log p_S(u; theta) over their
-    counts c_u. A family that only builds a model gets these probabilities
-    from ``size_biased_pmf(m, perron(reproduction_matrix(m))).prob_of(u)``;
+    ``family(theta, broods)`` returns p_S(u; theta) over the rows u of
+    ``broods``, the sample's distinct broods, whose counts c_u give the log
+    likelihood sum_u c_u log p_S(u; theta). A family that only builds a model
+    reads them from ``size_biased_pmf(m, perron(reproduction_matrix(m)))``;
     ``mitosis_size_biased_pmf`` is the mitosis family in closed form.
 
-    Box-constrained quasi-Newton (L-BFGS-B) with central-difference
-    gradients, multi-started from theta0 plus four deterministic jittered
-    points. The reported stationarity residual is the largest component of
-    that gradient at the optimum, evaluated after the optimizer has
-    finished, so ``n_evaluations`` does not count it (None when the optimum
-    sits on the box boundary, where stationarity need not hold).
+    Fisher scoring from theta0 (Osborne 1992), damped as Levenberg-Marquardt:
+    with J the central-difference Jacobian of p (stencil clipped into the
+    box), the score s = J^T (c / p), zeroed where it pushes out of the box at
+    an active bound, and the information I = r J^T diag(1/p) J, the trial is
+    theta + (I + mu r Id)^-1 s clipped into the box. It is kept when the
+    likelihood does not fall, and mu follows Nielsen's (1999) gain-ratio rule.
+    The fit stops, ``converged``, once s^T (I + mu r Id)^-1 s <= 1e-16, the
+    score in squared standard errors. Where I is singular at the end (the
+    mitosis map folds along alpha + theta = 1, and on symmetric counts the
+    fold point is a saddle) it probes 5% of the box width either way along
+    I's null vector and climbs again from the first probe that gains.
+    ``n_evaluations`` counts family calls, stencil included; the
+    stationarity residual is max |s| at the end (None on the box boundary).
     """
     broods = _as_brood_matrix(sample)
     unique, counts = np.unique(broods, axis=0, return_counts=True)
+    r = float(counts.sum())
     theta0 = np.asarray(theta0, dtype=float)
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
+    lo, hi = np.array(bounds, dtype=float).T
     if theta0.shape != lo.shape or np.any(theta0 < lo) or np.any(theta0 > hi):
         raise ValueError("theta0 must lie inside the bounds box")
-    evaluations = 0
+    eye, evaluations = np.eye(theta0.size), 0
 
-    def loglik(theta: np.ndarray) -> float:
+    def probs(theta: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
         try:
-            p = np.asarray(family(theta, unique), dtype=float)
+            return np.asarray(family(theta, unique), dtype=float)
         except Exception as exc:
             raise ModelConstructionFailed(f"family failed at theta={theta}") from exc
-        if np.any(p <= 0.0):
-            return _PENALTY
-        return float(counts @ np.log(p))
 
-    def objective(theta: np.ndarray) -> float:
-        return -loglik(theta)
+    def loglik(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        p = probs(theta)
+        return (float(counts @ np.log(p)) if np.all(p > 0.0) else -math.inf), p
 
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        # central differences, stencil clipped into the box near its edges
-        g = np.empty_like(theta)
-        for d in range(theta.size):
-            h = GRADIENT_REL_STEP * max(1.0, abs(theta[d]))
-            up = theta.copy()
-            dn = theta.copy()
-            up[d] = min(theta[d] + h, hi[d])
-            dn[d] = max(theta[d] - h, lo[d])
-            g[d] = (objective(up) - objective(dn)) / (up[d] - dn[d])
-        return g
+    def climb(theta: np.ndarray, ll: float, p: np.ndarray):
+        mu, grow, stat, accepted = 1e-3, 2.0, math.inf, True
+        for _ in range(_MAX_STEPS):
+            if accepted:
+                jac = np.empty((p.size, theta.size))
+                for d, h in enumerate(GRADIENT_REL_STEP * np.maximum(1.0, np.abs(theta))):
+                    up, dn = np.minimum(theta + h * eye[d], hi), np.maximum(theta - h * eye[d], lo)
+                    jac[:, d] = (probs(up) - probs(dn)) / (up[d] - dn[d])
+                score = jac.T @ (counts / p)
+                info = r * (jac.T / p) @ jac
+                free = score.copy()
+                free[((theta <= lo) & (score < 0)) | ((theta >= hi) & (score > 0))] = 0.0
+            step = np.linalg.solve(info + mu * r * eye, free)
+            stat = float(free @ step)
+            if stat <= 1e-16:
+                break
+            trial = np.clip(theta + step, lo, hi)
+            trial_ll, trial_p = loglik(trial)
+            moved = trial - theta
+            predicted = free @ moved - 0.5 * moved @ info @ moved  # the model's expected rise
+            accepted = trial_ll >= ll and predicted > 0.0
+            if accepted:
+                gain = min((trial_ll - ll) / predicted, 1.0)
+                theta, ll, p = trial, trial_ll, trial_p
+                mu, grow = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12), 2.0
+            else:
+                mu, grow = mu * grow, 2.0 * grow
+        return theta, ll, stat <= 1e-16, score, info
 
-    best = None
-    for start in _start_points(theta0, lo, hi):
-        res = minimize(
-            objective,
-            start,
-            jac=gradient,
-            method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 500},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.isfinite(best.fun) or -best.fun <= _PENALTY / 2:
-        raise OptimizerDiverged("no start produced a finite likelihood")
-
-    theta_hat = np.asarray(best.x, dtype=float)
-    interior = np.all(theta_hat - lo > 1e-7 * (hi - lo)) and np.all(
-        hi - theta_hat > 1e-7 * (hi - lo)
-    )
-    n_evaluations = evaluations  # the optimizer's only: read before the residual's
-    residual = float(np.abs(gradient(theta_hat)).max()) if interior else None
+    ll, p = loglik(theta0)
+    if not math.isfinite(ll):
+        raise OptimizerDiverged("the likelihood is zero at theta0")
+    theta, ll, converged, score, info = climb(theta0, ll, p)
+    eigval, eigvec = np.linalg.eigh(info)
+    if eigval[0] <= 1e-8 * eigval[-1]:
+        for sign in (1.0, -1.0):
+            probe = np.clip(theta + sign * 0.05 * (hi - lo) * eigvec[:, 0], lo, hi)
+            probe_ll, p = loglik(probe)
+            if probe_ll > ll:
+                theta, ll, converged, score, info = climb(probe, probe_ll, p)
+                break
+    interior = np.all(theta - lo > 1e-7 * (hi - lo)) and np.all(hi - theta > 1e-7 * (hi - lo))
     return MleFit(
-        theta_hat=theta_hat,
-        loglik=-float(best.fun),
-        converged=bool(best.success),
-        n_evaluations=n_evaluations,
-        stationarity_residual=residual,
+        theta_hat=theta,
+        loglik=ll,
+        converged=converged,
+        n_evaluations=evaluations,
+        stationarity_residual=float(np.abs(score).max()) if interior else None,
     )
 
 

@@ -192,7 +192,7 @@ def _amle_row(trace, sample, r, var, ci_level) -> dict:
     fit = amle_fit(
         mitosis_size_biased_pmf,
         sample.broods,
-        theta0=(0.5, 0.5),
+        theta0=(0.9, 0.9),
         bounds=((1e-6, 1.0 - 1e-6), (1e-6, 1.0 - 1e-6)),
     )
     return {

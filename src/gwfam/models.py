@@ -403,10 +403,15 @@ def model_from_dict(spec: dict) -> BranchingModel:
     """
     if "builtin" in spec:
         return builtin_model(spec["builtin"], **spec.get("params", {}))
+    try:
+        listing = [
+            ([[int(x) for x in u] for u in law["support"]], [float(p) for p in law["probs"]])
+            for law in spec["laws"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidArgument(f"malformed model listing: {type(exc).__name__}: {exc}") from exc
     laws = []
-    for law_spec in spec["laws"]:
-        support = law_spec["support"]
-        probs = law_spec["probs"]
+    for support, probs in listing:
         if len(support) != len(probs):
             raise DimensionMismatch("support and probs must have equal length")
         laws.append(offspring_law(zip(support, probs)))

@@ -342,10 +342,10 @@ def pair_pmf_exact(model: BranchingModel, z_prev: Sequence[int]) -> PairPmf:
     """
     z_prev = [int(c) for c in z_prev]
     m = sum(z_prev)
+    if m < 1 or min(z_prev) < 0:
+        raise InvalidArgument(f"need at least one parent and no negative count, got {z_prev}")
     if m > MAX_ENUM_PARENTS:
         raise EnumerationTooLarge(f"{m} parents exceeds the enumeration guard")
-    if m < 1:
-        raise InvalidArgument("need at least one parent")
     vectors, probs = model.support_union
     k = vectors.shape[0]
     sizes = vectors.sum(axis=1).astype(float)
@@ -389,8 +389,8 @@ def pair_pmf_closed_form(
     term (useful to show the term is load-bearing).
     """
     z_prev = [int(c) for c in z_prev]
-    if sum(z_prev) < 1:
-        raise InvalidArgument("need at least one parent")
+    if sum(z_prev) < 1 or min(z_prev) < 0:
+        raise InvalidArgument(f"need at least one parent and no negative count, got {z_prev}")
     vectors, probs = model.support_union
     k = vectors.shape[0]
     sizes = vectors.sum(axis=1)

@@ -234,6 +234,36 @@ class TestAmleFit:
         assert fit.theta_hat[0] == pytest.approx(0.95, abs=1e-9)
         assert fit.stationarity_residual is None
 
+    def test_fold_saddle_start_reaches_a_root(self):
+        # symmetric counts make the fold point (0.5, 0.5) a stationary saddle
+        # with a singular information; the probe along its null direction
+        # must climb off it to one of the twin roots
+        n1, nb, n2 = 162, 76, 162
+        cf = g.mitosis_closed_form(n1, nb, n2, 400)
+        roots = [(cf.alpha_hat, cf.theta_hat), g.mitosis_twin_root(n1, nb, n2, 400)]
+        for family in MITOSIS_FAMILIES:
+            fit = g.amle_fit(family, counts_to_broods(n1, nb, n2), (0.5, 0.5), MITOSIS_BOUNDS)
+            assert min(np.abs(fit.theta_hat - np.array(root)).max() for root in roots) <= 1e-6
+            assert fit.converged
+
+    def test_converges_on_every_simulated_fit_sample(self):
+        # the fit-mitosis setting: mitosis(0.9, 0.7) from (1, 1), n = 14, r = 196
+        model = g.mitosis_model(0.9, 0.7)
+        for k in range(200):
+            seed = SeedSpec(4242, replicate=k)
+            sample = g.draw_family_sample(g.simulate_aggregate(model, (1, 1), 14, seed), 196, seed)
+            fit = g.amle_fit(g.mitosis_size_biased_pmf, sample.broods, (0.9, 0.9), MITOSIS_BOUNDS)
+            assert fit.converged, k
+
+    def test_mismatched_counts_converge_to_the_fold_optimum(self):
+        # with 4 n1 n2 < nb^2 the likelihood peaks on the fold alpha + theta = 1,
+        # where the law is Bin(2, theta): theta = U / 2r with U = 2 n1 + nb
+        n1, nb, n2 = 30, 180, 190
+        for family in MITOSIS_FAMILIES:
+            fit = g.amle_fit(family, counts_to_broods(n1, nb, n2), (0.9, 0.9), MITOSIS_BOUNDS)
+            assert fit.theta_hat == pytest.approx(np.array([0.7, 0.3]), abs=1e-6)
+            assert fit.converged
+
     def test_theta0_outside_box_rejected(self):
         with pytest.raises(ValueError):
             g.amle_fit(mitosis_oracle, counts_to_broods(1, 1, 1), (0.5, 2.0), MITOSIS_BOUNDS)

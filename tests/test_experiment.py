@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from gwfam.errors import (
 from gwfam.cli import main
 from gwfam.experiment import ExperimentCell, ExperimentConfig
 from gwfam.sampling import SampleSizeRule
-from tests_support import run_cli
+from tests_support import SRC, run_cli
 
 
 def tiny_config(out_dir, estimator="mitosis_closed_form", replicates=6, workers=1):
@@ -112,6 +115,32 @@ class TestRunExperiment:
             assert float(row["prob_distinct"]) == g.prob_distinct(counts, 64)
             exact = g.prob_distinct_exact(counts, 64)
             assert abs(float(row["prob_distinct"]) - exact) <= 1e-12 * exact
+
+    def test_amle_rows_report_the_closed_form_branch(self, tmp_path):
+        # the twin roots tie in likelihood; every row where the closed form
+        # is a stationary point in range must report that branch, so the
+        # summary means do not mix values near 0.8 with values near 0.2
+        cell = g.preset("table1").cells[0]
+        assert cell.label == "a0.8_t0.8"
+        cfg = dataclasses.replace(
+            tiny_config(tmp_path, estimator="amle", replicates=40), cells=(cell,)
+        )
+        summary = g.run_experiment(cfg)
+        model = g.mitosis_model(0.8, 0.8)
+        checked = 0
+        for row in read_csv(summary.per_replicate_paths[cell.label]):
+            seed = g.SeedSpec(
+                g.SeedSpec.cell_master(cfg.master_seed, 0), replicate=int(row["replicate"])
+            )
+            sample = g.draw_family_sample(g.simulate_aggregate(model, (1, 1), 20, seed), 400, seed)
+            n1, nb, n2 = g.mitosis_counts(sample)
+            cf = g.mitosis_closed_form(n1, nb, n2, 400)
+            if 4 * n1 * n2 < nb * nb or not cf.in_range:
+                continue
+            assert float(row["alpha_hat"]) == pytest.approx(cf.alpha_hat, abs=1e-6)
+            assert float(row["theta_hat"]) == pytest.approx(cf.theta_hat, abs=1e-6)
+            checked += 1
+        assert checked >= 30
 
     def test_prob_distinct_estimator(self, tmp_path):
         cfg = tiny_config(tmp_path, estimator="prob_distinct", replicates=3)
@@ -483,6 +512,14 @@ class TestCli:
         res = run_cli("histogram", "--input", str(rep_csv), "--bins", "4")
         assert res.returncode == 0
 
+    def test_import_loads_no_scipy(self):
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        code = "import sys, gwfam; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     def test_error_exit_code(self):
         res = run_cli("oracle", "distinct", "--sizes", "2,2", "--r", "9")
         assert res.returncode == 1
@@ -515,6 +552,11 @@ class TestCli:
             ("validate", "--model", "no_laws.json"),
             ("estimate", "--input", "empty_brood.csv"),
             ("oracle", "pair", "--model", "mitosis:alpha=0.8,theta=0.8", "--z-prev", "0,0"),
+            ("oracle", "pair", "--model", "mitosis:alpha=0.8,theta=0.8", "--z-prev=-1,2"),
+            ("oracle", "pair", "--model", "mitosis:alpha=0.8,theta=0.8", "--z-prev=-1,2",
+             "--closed-form"),
+            ("validate", "--model", "no_laws_key.json"),
+            ("validate", "--model", "string_prob.json"),
             ("sample", "--model", "rds", "--z0", "1,1,1,1", "--n", "3", "--r", "2",
              "--seed", "1", "--replicates", "-1"),
         ],
@@ -527,9 +569,11 @@ class TestCli:
         for name, law in [
             ("negative_count", {"support": [[2, -1], [0, 2]], "probs": [0.5, 0.5]}),
             ("zero_prob", {"support": [[1, 0], [0, 2]], "probs": [1.0, 0.0]}),
+            ("string_prob", {"support": [[2, 0]], "probs": ["x"]}),
         ]:
             Path(f"{name}.json").write_text(json.dumps({"laws": [law, mate]}))
         Path("no_laws.json").write_text(json.dumps({"laws": []}))
+        Path("no_laws_key.json").write_text(json.dumps({}))
         files = sorted(Path().iterdir())
         assert main(list(args)) == 1
         captured = capsys.readouterr()
