@@ -10,16 +10,19 @@ does not depend on the population size.
 
 The probability that a sample hits r distinct families given the realized
 family sizes, e_r(sizes) / C(N, r), is what the estimators run, in floats
-that are exact to rounding (``prob_distinct``). The oracles are exact: the
-same ratio in big-integer arithmetic (``prob_distinct_exact``), and the
-two-individual joint law enumerated exhaustively at small scale (with an
-independent closed-form evaluator to check it against).
+that are exact to rounding (``prob_distinct``: one saddle-scaled product of
+binomial rows, at a cost that does not depend on the population size). The
+oracles are exact: the same ratio in big-integer arithmetic
+(``prob_distinct_exact``), and the two-individual joint law enumerated
+exhaustively at small scale (with an independent closed-form evaluator to
+check it against).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,8 +116,8 @@ def is_non_sibling(sample: FamilySample) -> bool:
 
 
 def _integral(value, what: str) -> int:
-    # A config number that must be a whole number: an int or an integral float.
-    if isinstance(value, (int, float)) and float(value).is_integer():
+    # A number that must be a whole number: any integer type or an integral float.
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
         return int(value)
     raise InvalidArgument(f"{what} must be an integer, got {value!r}")
 
@@ -165,21 +168,22 @@ class SampleSizeRule:
 # Binomial rows are built in runs of this many ratios, so the running
 # product of mantissas in [1/2, 1) stays a normal float.
 _BINOMIAL_RUN = 512
-# Base-2 exponent standing for "no mass" in a binomial row.
-_NO_MASS = -(1 << 30)
 
 
 def _size_counts(
     family_sizes: Sequence[int] | dict[int, int], r: int
 ) -> tuple[dict[int, int], int]:
     # The {size: count} multiset of a size list or multiset, and r, checked.
-    if isinstance(family_sizes, dict):
-        counts = {int(s): int(c) for s, c in family_sizes.items() if c}
-    else:
-        counts = dict(Counter(int(s) for s in family_sizes))
-    if any(s < 1 for s in counts):
-        raise InvalidArgument("family sizes must be positive")
-    r = int(r)
+    if not isinstance(family_sizes, dict):
+        family_sizes = Counter(family_sizes)
+    counts = {}
+    for s, c in family_sizes.items():
+        s, c = _integral(s, "a family size"), _integral(c, "a family count")
+        if c < 0 or (c and s < 1):
+            raise InvalidArgument(f"{c} families of size {s}: need sizes > 0 and counts >= 0")
+        if c:
+            counts[s] = c
+    r = _integral(r, "r")
     n_total = sum(s * c for s, c in counts.items())
     if r < 0 or r > n_total:
         raise InvalidSampleSize(f"r = {r} outside [0, {n_total}]")
@@ -190,81 +194,73 @@ def prob_distinct(family_sizes: Sequence[int] | dict[int, int], r: int) -> float
     """P(all r sampled individuals come from distinct families | sizes), in floats.
 
     The same e_r(sizes) / C(N, r) as ``prob_distinct_exact``, with the same
-    inputs and errors, exact to a few units of rounding. Size groups are
-    merged one at a time, carrying q_k = e_k(merged) / C(N_merged, k) for
-    k <= r, which lies in [0, 1]. Adding c families of size s, B = s c
-    children, to A children already merged gives
+    inputs and errors. With c_s families of size s, F of them in all, for
+    any t > 0
 
-        q'_k = sum_j H_k(j) q_{k-j} rho_j,
+        P = [y^r] prod_s (1 + s t y)^{c_s} / (C(N, r) t^r).
 
-    with H_k the hypergeometric pmf of j children out of B among k drawn
-    from A + B, and rho_j = prod_{i<j} (c - i) s / (B - i) the probability
-    that j children drawn from the group come from distinct families (0 for
-    j > c). Every term is nonnegative, so nothing cancels. H_k(j) is
-    proportional to C(A, k - j) C(B, j): both binomial rows are built from
-    their successive ratios as mantissa and base-2 exponent, so no row
-    overflows, and H_k is normalised by its sum over its full support.
-    Work is O(r^2) per size group and does not depend on N.
+    t solves sum_s c_s s t / (1 + s t) = min(r, F - 1/2), a saddle point
+    that puts the mean of the tilted coefficients at r, near their peak.
+    Row s, C(c_s, k) (s t)^k for k <= min(c_s, r), and C(N, r) t^r come from
+    one row builder; the rows are convolved, truncated at degree r, each
+    row and partial product scaled by a power of two to its largest entry.
+    Every term is nonnegative, so the relative error is O((r + G) eps) over
+    G size groups; entries below 2^-1074 of a row's largest, flushed to
+    zero, lie too far from the saddle to reach coefficient r. Work is at
+    most r sum_s min(c_s, r) multiply-adds and does not depend on N.
     """
     counts, r = _size_counts(family_sizes, r)
     if r <= 1:
         return 1.0
-    groups = sorted(counts.items())
-    # A later group reaches back at most c rows (rho_j = 0 for j > c), so
-    # each merge needs rows from `lowest` up only; the last needs row r.
-    lowest = [r]
-    for _, c in reversed(groups[1:]):
-        lowest.append(max(lowest[-1] - c, 0))
-    q = np.ones(1)
-    merged = 0
-    for (s, c), k_from in zip(groups, reversed(lowest)):
-        top = min(merged + s * c, r)
-        q_next = np.zeros(top + 1)
-        q_next[k_from:] = _merge_size_group(q, merged, s, c, k_from, top)
-        q = q_next
-        merged += s * c
-    return float(q[r])
+    sizes, mult = np.array(sorted(counts.items()), dtype=float).T
+    n_families = mult.sum()
+    if r > n_families:
+        return 0.0
+    t = _saddle(sizes, mult, min(r, n_families - 0.5))
+    poly, scale = np.ones(1), 0
+    for s, c in zip(sizes, mult):
+        k = np.arange(min(c, r))
+        mant, expo = _binomial_row((c - k) / (k + 1) * (s * t))
+        peak = int(expo.max())
+        poly = np.convolve(poly, np.ldexp(mant, expo - peak))[: r + 1]
+        top = int(np.frexp(poly.max())[1])
+        poly = np.ldexp(poly, -top)
+        scale += peak + top
+    i = np.arange(r)
+    mant, expo = _binomial_row((sizes @ mult - i) / (i + 1) * t)
+    return float(np.ldexp(poly[r] / mant[-1], scale - int(expo[-1])))
 
 
-def _merge_size_group(q: np.ndarray, a: int, s: int, c: int, k_from: int, top: int) -> np.ndarray:
-    # q'_k for k = k_from..top after adding c families of size s to the `a`
-    # children merged so far. Column t of each matrix holds j = width - 1 - t,
-    # so every C(a, k - j) matrix is a forward sliding window over a padded row.
-    b = s * c
-    width = min(b, top) + 1
-    mant_a, exp_a = _binomial_row(a, min(a, top))
-    mant_b, exp_b = _binomial_row(b, width - 1)
-    rows = slice(k_from, top + 1)
-    expo = _lagged(exp_a, top, width, _NO_MASS)[rows] + exp_b[::-1]
-    expo -= expo.max(axis=1, keepdims=True)
-    h = _lagged(mant_a, top, width, 0.0)[rows] * mant_b[::-1]
-    np.ldexp(h, expo, out=h)
-    i = np.arange(width - 1.0)
-    rho = np.concatenate(([1.0], np.cumprod(np.maximum(c - i, 0.0) * s / (b - i))))
-    weighted = np.einsum("kt,kt,t->k", h, _lagged(q, top, width, 0.0)[rows], rho[::-1])
-    return weighted / h.sum(axis=1)
+def _saddle(sizes: np.ndarray, mult: np.ndarray, target: float) -> float:
+    # t > 0 with sum c s t / (1 + s t) = target < F: Newton in log t, kept
+    # inside a bracket (the sum is at most N t and at least F (1 - 1/t)).
+    f = mult.sum()
+    lo, hi = np.log(target / (sizes @ mult)), np.log(f / (f - target))
+    u = 0.5 * (lo + hi)
+    for _ in range(100):
+        p = 1.0 / (1.0 + np.exp(-u) / sizes)
+        gap = mult @ p - target
+        lo, hi = (lo, u) if gap > 0 else (u, hi)
+        step = gap / (mult @ (p - p * p))
+        u = u - step if lo < u - step < hi else 0.5 * (lo + hi)
+        if abs(step) <= 1e-7:
+            break
+    return float(np.exp(u))
 
 
-def _binomial_row(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # C(n, i) for i = 0..m as mantissa * 2**exponent, from the ratios
-    # C(n, i + 1) / C(n, i) = (n - i) / (i + 1).
-    frac, expo = np.frexp((n - np.arange(m)) / np.arange(1.0, m + 1))
-    mant = np.empty(m + 1)
-    exps = np.empty(m + 1, dtype=np.int32)
+def _binomial_row(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The running products 1, x_0, x_0 x_1, ... of the positive ratios x_i,
+    # as mantissa * 2**exponent so that no entry overflows or underflows.
+    frac, expo = np.frexp(ratios)
+    mant = np.empty(ratios.size + 1)
+    exps = np.empty(ratios.size + 1, dtype=np.int32)
     mant[0], exps[0] = 0.5, 1
-    for lo in range(0, m, _BINOMIAL_RUN):
+    for lo in range(0, ratios.size, _BINOMIAL_RUN):
         run = slice(lo, lo + _BINOMIAL_RUN)
         f, e = np.frexp(mant[lo] * np.cumprod(frac[run]))
         mant[lo + 1 : lo + 1 + f.size] = f
         exps[lo + 1 : lo + 1 + f.size] = exps[lo] + np.cumsum(expo[run]) + e
     return mant, exps
-
-
-def _lagged(x: np.ndarray, top: int, width: int, fill) -> np.ndarray:
-    # Rows k = 0..top, column t = x[k - (width - 1 - t)], `fill` outside x.
-    padded = np.full(top + width, fill, dtype=x.dtype)
-    padded[width - 1 : width - 1 + min(x.size, top + 1)] = x[: top + 1]
-    return np.lib.stride_tricks.sliding_window_view(padded, width)
 
 
 def _esp_of_multiset(size_counts: dict[int, int], r: int) -> int:

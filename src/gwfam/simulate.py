@@ -96,13 +96,12 @@ class GenerationTrace:
         return self.z.sum(axis=1)
 
     def family_size_counts(self) -> dict[int, int]:
-        """Multiset {family size: count} of the final transition's families."""
-        out: dict[int, int] = {}
-        for counts, law in zip(sampling_view(self).last_brood_counts, self.model.laws):
-            for size, c in zip(law.sizes, counts):
-                if c:
-                    out[int(size)] = out.get(int(size), 0) + int(c)
-        return out
+        """Multiset {family size: count} of the final transition's families, sizes ascending."""
+        # float weights are exact: every count is below the population cap < 2^53
+        sizes = np.concatenate([law.sizes for law in self.model.laws])
+        totals = np.bincount(sizes, np.concatenate(sampling_view(self).last_brood_counts))
+        present = np.flatnonzero(totals)
+        return dict(zip(present.tolist(), totals[present].astype(np.int64).tolist()))
 
 
 def simulate_aggregate(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import gwfam as g
 from gwfam.errors import (
     EnumerationTooLarge,
+    InvalidArgument,
     InvalidSampleSize,
     SampleExceedsPopulation,
 )
@@ -244,11 +245,46 @@ class TestProbDistinct:
             ({2: 3}, 7, InvalidSampleSize),
             ([0, 2], 1, ValueError),
             ({-1: 2}, 1, ValueError),
+            ([2.5, 1], 2, InvalidArgument),
+            ({2: 1.5}, 1, InvalidArgument),
+            ([2, 2], 1.7, InvalidArgument),
+            ({2: -3, 1: 2}, 1, InvalidArgument),
         ]:
             with pytest.raises(error):
                 g.prob_distinct_exact(sizes, r)
             with pytest.raises(error):
                 g.prob_distinct(sizes, r)
+
+    def test_numpy_and_integral_float_inputs(self):
+        for sizes, r in [(np.array([2, 1, 3]), np.int64(2)), ([2.0, 1, 3], 2.0)]:
+            assert g.prob_distinct_exact(sizes, r) == Fraction(11, 15)
+            assert g.prob_distinct(sizes, r) == pytest.approx(11 / 15, rel=1e-15)
+
+    def test_every_family_sampled(self):
+        # r = F families: the product's top coefficient, prod s^c / C(N, F)
+        for counts in [{1: 3, 2: 5, 7: 2}, {3: 40}, {1: 1, 9: 30, 4: 12}]:
+            f = sum(counts.values())
+            n_total = sum(s * c for s, c in counts.items())
+            exact = Fraction(math.prod(s**c for s, c in counts.items()), math.comb(n_total, f))
+            assert g.prob_distinct_exact(counts, f) == exact
+            assert relative_gap(g.prob_distinct(counts, f), exact) <= PROB_REL_GATE
+            assert g.prob_distinct(counts, f + 1) == 0.0
+            assert g.prob_distinct_exact(counts, f + 1) == 0
+
+    def test_singletons_are_always_distinct(self):
+        for n_total in (1, 2, 7, 600):
+            for r in range(n_total + 1):
+                assert g.prob_distinct({1: n_total}, r) == 1.0
+        assert g.prob_distinct([1] * 9, 9) == 1.0
+
+    def test_independent_of_dict_order(self):
+        counts = {7: 3, 2: 40, 5: 11, 1: 9, 3: 25}
+        value = g.prob_distinct(counts, 60)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            keys = rng.permutation(list(counts)).tolist()
+            assert g.prob_distinct({s: counts[s] for s in keys}, 60) == value
+        assert relative_gap(value, g.prob_distinct_exact(counts, 60)) <= PROB_REL_GATE
 
     def test_criterion_06_size_lists(self):
         worst = 0.0

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,17 @@ class TestSimulateAggregate:
         trace = g.simulate_aggregate(mitosis88, (1, 1), 4, SeedSpec(5))
         counts = trace.family_size_counts()
         assert counts == {2: 16}  # |Z_3| = 16 parents, every family of size 2
+
+    def test_family_size_counts_sum_over_laws(self, rds):
+        trace = g.simulate_aggregate(rds, (1, 1, 1, 1), 8, SeedSpec(3))
+        expect = Counter()
+        for law, counts in zip(rds.laws, trace.last_brood_counts):
+            for vector, c in zip(law.vectors.tolist(), counts.tolist()):
+                expect[sum(vector)] += c
+        got = trace.family_size_counts()
+        assert got == {s: c for s, c in expect.items() if c}
+        assert list(got) == sorted(got)
+        assert all(type(s) is int and type(c) is int and c > 0 for s, c in got.items())
 
 
 class TestFamilyStream:
