@@ -28,7 +28,7 @@ from .experiment import (
     run_experiment,
     write_csv,
 )
-from .models import parse_model_arg, validate_model
+from .models import parse_model_arg, read_json, validate_model
 from .sampling import (
     draw_family_sample,
     is_non_sibling,
@@ -202,12 +202,8 @@ def _cmd_oracle_distinct(args) -> int:
 
 def _cmd_oracle_pair(args) -> int:
     model = parse_model_arg(args.model)
-    z_prev = _parse_ints(args.z_prev)
-    table = (
-        pair_pmf_closed_form(model, z_prev)
-        if args.closed_form
-        else pair_pmf_exact(model, z_prev)
-    )
+    oracle = pair_pmf_closed_form if args.closed_form else pair_pmf_exact
+    table = oracle(model, _parse_ints(args.z_prev))
     labels = [",".join(map(str, v)) for v in table.vectors.tolist()]
     rows = [
         (labels[a], labels[b], p)
@@ -223,12 +219,7 @@ def _cmd_experiment(args) -> int:
     if args.preset:
         config = preset(args.preset, scale=args.scale)
     else:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidArgument(f"{args.config} is not valid JSON: {exc}") from None
-        config = ExperimentConfig.from_dict(spec)
+        config = ExperimentConfig.from_dict(read_json(args.config))
     given = {
         "master_seed": args.seed,
         "replicates": args.replicates,

@@ -263,6 +263,7 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
         )
     _normal_quantile(config.ci_level)  # rejects a level outside (0, 1)
     spec_jsons = [json.dumps(cell.model_spec, sort_keys=True) for cell in config.cells]
+    sample_sizes = [cell.rule.sample_size(cell.n) for cell in config.cells]
     for cell, spec_json in zip(config.cells, spec_jsons):
         # built once here, before any output, and cached for every replicate
         try:
@@ -289,7 +290,7 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
             "cell_master": cell_seed,
             "z0": cell.z0,
             "n": cell.n,
-            "r": cell.rule.sample_size(cell.n),
+            "r": sample_sizes[cell_index],
             "estimator": config.estimator,
             "ci_level": config.ci_level,
         }
@@ -487,6 +488,8 @@ def emit_histograms(
             columns[name] = [float(row[name]) for row in data_rows]
         except (TypeError, ValueError):
             continue
+        if not all(map(math.isfinite, columns[name])):
+            raise MalformedCsv(f"{src}: column {name!r} holds a non-finite value")
     if not columns:
         raise MalformedCsv(f"{src} has no numeric columns")
     out = Path(out_path) if out_path else src.with_name(src.stem + f"__hist{bins}.csv")

@@ -9,6 +9,7 @@ share across workers.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateSupportPoint,
+    GwfamError,
     InvalidArgument,
     ParameterOutOfRange,
     ProbabilitiesDontSumToOne,
@@ -380,8 +382,6 @@ BUILTIN_MODELS = {"mitosis": mitosis_model, "rds": rds_model}
 
 
 def builtin_model(name: str, **params) -> BranchingModel:
-    import inspect
-
     try:
         factory = BUILTIN_MODELS[name]
     except KeyError:
@@ -401,21 +401,21 @@ def model_from_dict(spec: dict) -> BranchingModel:
     Either ``{"builtin": name, "params": {...}}`` or an explicit listing
     ``{"type_names": [...], "laws": [{"support": [[..], ..], "probs": [..]}, ..]}``.
     """
-    if "builtin" in spec:
-        return builtin_model(spec["builtin"], **spec.get("params", {}))
     try:
-        listing = [
-            ([[int(x) for x in u] for u in law["support"]], [float(p) for p in law["probs"]])
-            for law in spec["laws"]
-        ]
+        if "builtin" in spec:
+            return builtin_model(spec["builtin"], **spec.get("params", {}))
+        laws = []
+        for law in spec["laws"]:
+            support = [[int(x) for x in u] for u in law["support"]]
+            probs = [float(p) for p in law["probs"]]
+            if len(support) != len(probs):
+                raise DimensionMismatch("support and probs must have equal length")
+            laws.append(offspring_law(zip(support, probs)))
+        return branching_model(laws, type_names=spec.get("type_names"))
+    except GwfamError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgument(f"malformed model listing: {type(exc).__name__}: {exc}") from exc
-    laws = []
-    for support, probs in listing:
-        if len(support) != len(probs):
-            raise DimensionMismatch("support and probs must have equal length")
-        laws.append(offspring_law(zip(support, probs)))
-    return branching_model(laws, type_names=spec.get("type_names"))
+        raise InvalidArgument(f"malformed model: {type(exc).__name__}: {exc}") from exc
 
 
 def model_to_dict(model: BranchingModel) -> dict:
@@ -431,9 +431,17 @@ def model_to_dict(model: BranchingModel) -> dict:
     }
 
 
-def load_model(path: str | Path) -> BranchingModel:
+def read_json(path: str | Path):
+    """Parse a JSON file; a file that is not JSON raises ``InvalidArgument``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
+
+
+def load_model(path: str | Path) -> BranchingModel:
+    return model_from_dict(read_json(path))
 
 
 def parse_model_arg(text: str) -> BranchingModel:
@@ -455,5 +463,5 @@ def parse_model_arg(text: str) -> BranchingModel:
                     raise InvalidArgument(
                         f"malformed model parameter {item!r}; expected key=number"
                     ) from None
-        return builtin_model(head, **params)
+        return model_from_dict({"builtin": head, "params": params})
     return load_model(text)

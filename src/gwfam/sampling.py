@@ -137,9 +137,14 @@ class SampleSizeRule:
     def __post_init__(self):
         if self.kind not in ("polynomial", "fixed"):
             raise InvalidSampleSize(f"unknown rule kind {self.kind!r}")
+        if not math.isfinite(self.exponent):
+            raise InvalidSampleSize(f"rule exponent must be finite, got {self.exponent}")
 
     def sample_size(self, n: int) -> int:
-        r = int(round(float(n) ** self.exponent) if self.kind == "polynomial" else self.size)
+        try:
+            r = int(round(float(n) ** self.exponent) if self.kind == "polynomial" else self.size)
+        except OverflowError:
+            raise InvalidSampleSize(f"rule n^{self.exponent} at n = {n} is too large") from None
         if r < 1:
             raise InvalidSampleSize(f"rule produced r = {r} at n = {n}")
         return r
@@ -327,6 +332,13 @@ class PairPmf(SupportLookup):
         return float(self.table.sum())
 
 
+def _parent_counts(z_prev: Sequence[int]) -> list[int]:
+    z_prev = [int(c) for c in z_prev]
+    if sum(z_prev) < 1 or min(z_prev) < 0:
+        raise InvalidArgument(f"need at least one parent and no negative count, got {z_prev}")
+    return z_prev
+
+
 def pair_pmf_exact(model: BranchingModel, z_prev: Sequence[int]) -> PairPmf:
     """Exhaustive-enumeration oracle for the two-individual sampling law.
 
@@ -336,10 +348,8 @@ def pair_pmf_exact(model: BranchingModel, z_prev: Sequence[int]) -> PairPmf:
     pairs |u|(|u|-1) on the diagonal. Guarded to small parent vectors and to
     at most ``MAX_ENUM_WORK`` assignments times squared support points.
     """
-    z_prev = [int(c) for c in z_prev]
+    z_prev = _parent_counts(z_prev)
     m = sum(z_prev)
-    if m < 1 or min(z_prev) < 0:
-        raise InvalidArgument(f"need at least one parent and no negative count, got {z_prev}")
     if m > MAX_ENUM_PARENTS:
         raise EnumerationTooLarge(f"{m} parents exceeds the enumeration guard")
     vectors, probs = model.support_union
@@ -374,85 +384,43 @@ def pair_pmf_exact(model: BranchingModel, z_prev: Sequence[int]) -> PairPmf:
 def pair_pmf_closed_form(
     model: BranchingModel, z_prev: Sequence[int], include_same_family: bool = True
 ) -> PairPmf:
-    """Direct term-by-term evaluation of the two-individual joint law.
+    """Term-by-term evaluation of the two-individual joint law.
 
-    Splits P(X1=u, X2=v | Z_{n-1}) by the parents of the two samples --
-    same-type distinct families, different-type families, and (on the
-    diagonal, for |u| > 1) the same family -- and evaluates each term's
-    expectation over the unrealized sibling families exactly, via the
-    convolution of their size distributions. Independent of the enumeration
-    oracle; ``include_same_family=False`` drops the diagonal same-family
-    term (useful to show the term is load-bearing).
+    With p_i the type-i offspring law and sizes |u|, |v|,
+
+        P(X1=u, X2=v | z) = |u||v| sum_{i,j} z_i (z_j - [i=j]) p_i(u) p_j(v) g_ij(|u|+|v|)
+                            + [u=v] |u|(|u|-1) sum_i z_i p_i(u) g_i(|u|):
+
+    ordered pairs of distinct families (parent types i, j), then one family
+    holding both. g_S(t) = E[1 / ((t + R_S)(t + R_S - 1))], with R_S the total
+    size of the families left once those in S are removed (the convolution of
+    their size pmfs); t + R_S < 2 holds no pair and counts 0. Independent of
+    the enumeration oracle; ``include_same_family=False`` drops the diagonal
+    term (to show it is load-bearing).
     """
-    z_prev = [int(c) for c in z_prev]
-    if sum(z_prev) < 1 or min(z_prev) < 0:
-        raise InvalidArgument(f"need at least one parent and no negative count, got {z_prev}")
+    z_prev = _parent_counts(z_prev)
     vectors, probs = model.support_union
-    k = vectors.shape[0]
     sizes = vectors.sum(axis=1)
-    size_pmfs = [law.size_pmf() for law in model.laws]
+    pair_sizes = sizes[:, None] + sizes
+    weighted = probs * sizes  # p_i(u) |u|
 
-    def rest_dist(remaining: Sequence[int]) -> np.ndarray:
+    def g(*pinned: int) -> np.ndarray:
+        # g over t = 0..max(|u| + |v|) for the families left once `pinned` are removed
         dist = np.array([1.0])
-        for i, c in enumerate(remaining):
-            for _ in range(c):
-                dist = np.convolve(dist, size_pmfs[i])
-        return dist
+        for i, c in enumerate(z_prev):
+            for _ in range(c - pinned.count(i)):
+                dist = np.convolve(dist, model.laws[i].size_pmf())
+        t = np.arange(pair_sizes.max() + 1)[:, None] + np.arange(dist.size)
+        return (dist / np.where(t >= 2, t * (t - 1.0), np.inf)).sum(axis=1)
 
-    def inv_pair_mean(remaining: Sequence[int], pinned: int) -> float:
-        # E[ 1 / ((pinned + R)(pinned + R - 1)) ] with R the total size of
-        # the remaining, unpinned families.
-        dist = rest_dist(remaining)
-        t = pinned + np.arange(dist.size, dtype=float)
-        return float(np.sum(dist / (t * (t - 1.0))))
-
-    table = np.zeros((k, k))
-    for a in range(k):
-        for bq in range(k):
-            su, sv = int(sizes[a]), int(sizes[bq])
-            acc = 0.0
-            # two distinct families with parents of the same type
-            for i, zi in enumerate(z_prev):
-                if zi >= 2 and probs[i, a] > 0 and probs[i, bq] > 0:
-                    remaining = list(z_prev)
-                    remaining[i] -= 2
-                    acc += (
-                        zi
-                        * (zi - 1)
-                        * probs[i, a]
-                        * probs[i, bq]
-                        * su
-                        * sv
-                        * inv_pair_mean(remaining, su + sv)
-                    )
-            # families with parents of different types, ordered
-            for i, zi in enumerate(z_prev):
-                for j, zj in enumerate(z_prev):
-                    if i == j or zi == 0 or zj == 0:
-                        continue
-                    if probs[i, a] == 0 or probs[j, bq] == 0:
-                        continue
-                    remaining = list(z_prev)
-                    remaining[i] -= 1
-                    remaining[j] -= 1
-                    acc += (
-                        zi
-                        * zj
-                        * probs[i, a]
-                        * probs[j, bq]
-                        * su
-                        * sv
-                        * inv_pair_mean(remaining, su + sv)
-                    )
-            # both individuals from one family: diagonal only, needs |u| > 1
-            if include_same_family and a == bq and su > 1:
-                for i, zi in enumerate(z_prev):
-                    if zi == 0 or probs[i, a] == 0:
-                        continue
-                    remaining = list(z_prev)
-                    remaining[i] -= 1
-                    acc += zi * probs[i, a] * su * (su - 1) * inv_pair_mean(remaining, su)
-            table[a, bq] = acc
+    table = np.zeros(pair_sizes.shape)
+    for i, j in itertools.product(range(len(z_prev)), repeat=2):
+        families = z_prev[i] * (z_prev[j] - (i == j))
+        if families > 0:
+            table += families * np.outer(weighted[i], weighted[j]) * g(i, j)[pair_sizes]
+    if include_same_family:
+        for i in np.flatnonzero(z_prev):
+            table += np.diag(z_prev[i] * weighted[i] * (sizes - 1) * g(i)[sizes])
     return PairPmf(vectors=vectors, table=table)
 
 

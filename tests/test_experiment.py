@@ -216,6 +216,8 @@ class TestRunExperiment:
             {"rule": {"kind": "fixed", "size": 2.7}},
             {"ci_level": "high"},
             {"rule": {"kind": "polynomial", "exponent": "x"}},
+            {"rule": {"kind": "polynomial", "exponent": "nan"}},
+            {"rule": {"kind": "polynomial", "exponent": 1e308}},
             {"cells": 5},
             {"z0": 5},
             {"model": 5},
@@ -559,6 +561,14 @@ class TestCli:
             ("validate", "--model", "string_prob.json"),
             ("sample", "--model", "rds", "--z0", "1,1,1,1", "--n", "3", "--r", "2",
              "--seed", "1", "--replicates", "-1"),
+            ("validate", "--model", "string_param.json"),
+            ("validate", "--model", "number_params.json"),
+            ("validate", "--model", "list_builtin.json"),
+            ("validate", "--model", "number_type_names.json"),
+            ("validate", "--model", "not_json.json"),
+            ("validate", "--model", "rds:max_surveys=3"),
+            ("histogram", "--input", "inf.csv"),
+            ("histogram", "--input", "nan.csv"),
         ],
     )
     def test_bad_input_is_one_error_line(self, args, tmp_path, monkeypatch, capsys):
@@ -574,6 +584,16 @@ class TestCli:
             Path(f"{name}.json").write_text(json.dumps({"laws": [law, mate]}))
         Path("no_laws.json").write_text(json.dumps({"laws": []}))
         Path("no_laws_key.json").write_text(json.dumps({}))
+        for name, spec in [
+            ("string_param", {"builtin": "mitosis", "params": {"alpha": "x", "theta": 0.8}}),
+            ("number_params", {"builtin": "mitosis", "params": 5}),
+            ("list_builtin", {"builtin": ["mitosis"]}),
+            ("number_type_names", {"type_names": 5, "laws": [mate, mate]}),
+        ]:
+            Path(f"{name}.json").write_text(json.dumps(spec))
+        Path("not_json.json").write_text("{not json")
+        Path("inf.csv").write_text("replicate,rho_hat\n0,1.5\n1,inf\n")
+        Path("nan.csv").write_text("replicate,rho_hat\n0,1.5\n1,nan\n")
         files = sorted(Path().iterdir())
         assert main(list(args)) == 1
         captured = capsys.readouterr()

@@ -404,6 +404,15 @@ class TestSampleSizeRule:
         with pytest.raises(InvalidSampleSize):
             SampleSizeRule.from_dict({"kind": "bogus"})
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_rejected_at_construction(self, exponent):
+        with pytest.raises(InvalidSampleSize):
+            SampleSizeRule(exponent=exponent)
+
+    def test_unrepresentable_size_rejected(self):
+        with pytest.raises(InvalidSampleSize):
+            SampleSizeRule(exponent=1e308).sample_size(2)
+
     def test_round_trip(self):
         rule = SampleSizeRule(kind="polynomial", exponent=1.5)
         assert SampleSizeRule.from_dict(rule.to_dict()) == rule
@@ -449,6 +458,28 @@ class TestPairPmf:
             enum = g.pair_pmf_exact(model, z_prev)
             formula = g.pair_pmf_closed_form(model, z_prev)
             assert np.abs(enum.table - formula.table).max() <= 1e-10
+
+    @pytest.mark.parametrize("z_prev", [(1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 0), (1, 0, 0, 0)])
+    def test_four_type_agreement(self, z_prev):
+        # rds with every survey cap at 3: four types, 34 support points
+        model = g.rds_model(max_surveys=(3, 3, 3, 3))
+        enum = g.pair_pmf_exact(model, z_prev)
+        formula = g.pair_pmf_closed_form(model, z_prev)
+        assert np.abs(enum.table - formula.table).max() <= 1e-10
+
+    def test_full_rds_is_a_symmetric_law(self, rds):
+        table = g.pair_pmf_closed_form(rds, (1, 1, 1, 1))
+        assert table.table.shape == (1000, 1000)
+        assert table.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(table.table - table.table.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("z_prev, cap", [((1, 0, 0, 0), 10), ((0, 0, 0, 1), 5)])
+    def test_single_rds_family_mass(self, rds, z_prev, cap):
+        # one family of size k, P(k) = (1/k) / H_cap, yields two individuals
+        # unless k = 1: the mass is 1 - 1/H_cap
+        harmonic = math.fsum(1.0 / k for k in range(1, cap + 1))
+        mass = g.pair_pmf_closed_form(rds, z_prev).total_mass()
+        assert mass == pytest.approx(1.0 - 1.0 / harmonic, abs=1e-12)
 
 
 class TestEmpiricalTv:
