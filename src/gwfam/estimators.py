@@ -27,7 +27,6 @@ from .errors import (
 )
 from .spectral import AsymptoticVariances
 
-GRADIENT_REL_STEP = 1e-6
 _MAX_STEPS = 200  # scoring steps per climb, accepted or not
 
 
@@ -141,32 +140,33 @@ class MleFit:
 
 
 def amle_fit(
-    family: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    family: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     sample,
     theta0: Sequence[float],
     bounds: Sequence[tuple[float, float]],
 ) -> MleFit:
     """Fit a parametric family by maximizing the size-biased log likelihood.
 
-    ``family(theta, broods)`` returns p_S(u; theta) over the rows u of
-    ``broods``, the sample's distinct broods, whose counts c_u give the log
-    likelihood sum_u c_u log p_S(u; theta). A family that only builds a model
-    reads them from ``size_biased_pmf(m, perron(reproduction_matrix(m)))``;
-    ``mitosis_size_biased_pmf`` is the mitosis family in closed form.
+    ``family(theta, broods)`` returns ``(p, jac)``: p_S(u; theta) over the
+    rows u of ``broods``, the sample's distinct broods, and its Jacobian
+    ``jac[u, d]`` = dp_S(u)/dtheta_d. The counts c_u give the log likelihood
+    sum_u c_u log p_S(u; theta). ``mitosis_size_biased_pmf`` is the mitosis
+    family in closed form.
 
     Fisher scoring from theta0 (Osborne 1992), damped as Levenberg-Marquardt:
-    with J the central-difference Jacobian of p (stencil clipped into the
-    box), the score s = J^T (c / p), zeroed where it pushes out of the box at
-    an active bound, and the information I = r J^T diag(1/p) J, the trial is
-    theta + (I + mu r Id)^-1 s clipped into the box. It is kept when the
-    likelihood does not fall, and mu follows Nielsen's (1999) gain-ratio rule.
-    The fit stops, ``converged``, once s^T (I + mu r Id)^-1 s <= 1e-16, the
-    score in squared standard errors. Where I is singular at the end (the
-    mitosis map folds along alpha + theta = 1, and on symmetric counts the
-    fold point is a saddle) it probes 5% of the box width either way along
-    I's null vector and climbs again from the first probe that gains.
-    ``n_evaluations`` counts family calls, stencil included; the
-    stationarity residual is max |s| at the end (None on the box boundary).
+    with J the family's Jacobian, the score s = J^T (c / p), zeroed where it
+    pushes out of the box at an active bound, and the information
+    I = r J^T diag(1/p) J, the trial is theta + (I + mu r Id)^-1 s clipped
+    into the box. It is kept, with its Jacobian, when the likelihood does not
+    fall, and mu follows Nielsen's (1999) gain-ratio rule. The fit stops,
+    ``converged``, once s^T (I + mu r Id)^-1 s <= 1e-16, the score in squared
+    standard errors. Where I is singular at the end (the mitosis map folds
+    along alpha + theta = 1, and on symmetric counts the fold point is a
+    saddle) it probes 5% of the box width either way along I's null vector
+    and climbs again from the first probe that gains. ``n_evaluations``
+    counts family calls, one per point visited: the start, each trial and
+    each probe. The stationarity residual is max |s| at the end (None on the
+    box boundary).
     """
     broods = _as_brood_matrix(sample)
     unique, counts = np.unique(broods, axis=0, return_counts=True)
@@ -174,29 +174,24 @@ def amle_fit(
     theta0 = np.asarray(theta0, dtype=float)
     lo, hi = np.array(bounds, dtype=float).T
     if theta0.shape != lo.shape or np.any(theta0 < lo) or np.any(theta0 > hi):
-        raise ValueError("theta0 must lie inside the bounds box")
+        raise InvalidArgument("theta0 must lie inside the bounds box")
     eye, evaluations = np.eye(theta0.size), 0
 
-    def probs(theta: np.ndarray) -> np.ndarray:
+    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
         try:
-            return np.asarray(family(theta, unique), dtype=float)
+            p, jac = family(theta, unique)
+            p = np.asarray(p, dtype=float)
+            jac = np.asarray(jac, dtype=float).reshape(p.size, theta.size)
         except Exception as exc:
             raise ModelConstructionFailed(f"family failed at theta={theta}") from exc
+        return (float(counts @ np.log(p)) if np.all(p > 0.0) else -math.inf), p, jac
 
-    def loglik(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        p = probs(theta)
-        return (float(counts @ np.log(p)) if np.all(p > 0.0) else -math.inf), p
-
-    def climb(theta: np.ndarray, ll: float, p: np.ndarray):
+    def climb(theta: np.ndarray, ll: float, p: np.ndarray, jac: np.ndarray):
         mu, grow, stat, accepted = 1e-3, 2.0, math.inf, True
         for _ in range(_MAX_STEPS):
             if accepted:
-                jac = np.empty((p.size, theta.size))
-                for d, h in enumerate(GRADIENT_REL_STEP * np.maximum(1.0, np.abs(theta))):
-                    up, dn = np.minimum(theta + h * eye[d], hi), np.maximum(theta - h * eye[d], lo)
-                    jac[:, d] = (probs(up) - probs(dn)) / (up[d] - dn[d])
                 score = jac.T @ (counts / p)
                 info = r * (jac.T / p) @ jac
                 free = score.copy()
@@ -206,29 +201,29 @@ def amle_fit(
             if stat <= 1e-16:
                 break
             trial = np.clip(theta + step, lo, hi)
-            trial_ll, trial_p = loglik(trial)
+            trial_ll, trial_p, trial_jac = evaluate(trial)
             moved = trial - theta
             predicted = free @ moved - 0.5 * moved @ info @ moved  # the model's expected rise
             accepted = trial_ll >= ll and predicted > 0.0
             if accepted:
                 gain = min((trial_ll - ll) / predicted, 1.0)
-                theta, ll, p = trial, trial_ll, trial_p
+                theta, ll, p, jac = trial, trial_ll, trial_p, trial_jac
                 mu, grow = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12), 2.0
             else:
                 mu, grow = mu * grow, 2.0 * grow
         return theta, ll, stat <= 1e-16, score, info
 
-    ll, p = loglik(theta0)
+    ll, p, jac = evaluate(theta0)
     if not math.isfinite(ll):
         raise OptimizerDiverged("the likelihood is zero at theta0")
-    theta, ll, converged, score, info = climb(theta0, ll, p)
+    theta, ll, converged, score, info = climb(theta0, ll, p, jac)
     eigval, eigvec = np.linalg.eigh(info)
     if eigval[0] <= 1e-8 * eigval[-1]:
         for sign in (1.0, -1.0):
             probe = np.clip(theta + sign * 0.05 * (hi - lo) * eigvec[:, 0], lo, hi)
-            probe_ll, p = loglik(probe)
+            probe_ll, p, jac = evaluate(probe)
             if probe_ll > ll:
-                theta, ll, converged, score, info = climb(probe, probe_ll, p)
+                theta, ll, converged, score, info = climb(probe, probe_ll, p, jac)
                 break
     interior = np.all(theta - lo > 1e-7 * (hi - lo)) and np.all(hi - theta > 1e-7 * (hi - lo))
     return MleFit(
@@ -250,13 +245,21 @@ def _binomial2(q: float) -> np.ndarray:
     return np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
 
 
-def mitosis_size_biased_pmf(theta: Sequence[float], broods) -> np.ndarray:
-    """p_S(u) of mitosis(alpha, theta) at each brood row u: the amle family.
+def mitosis_size_biased_pmf(theta: Sequence[float], broods) -> tuple[np.ndarray, np.ndarray]:
+    """p_S(u) of mitosis(alpha, theta) at each brood row u, with its Jacobian.
 
-    theta is (alpha, theta). In closed form rho = 2 and the stable type
-    proportions are (b1, b2) = (1 - alpha, 1 - theta) / ((1 - alpha) + (1 - theta)),
-    so p_S(u) = b1 Bin(2, theta)(u_1) + b2 Bin(2, 1 - alpha)(u_1) when
-    |u| = 2, and 0 for every other brood.
+    The amle family: theta is (alpha, theta). In closed form rho = 2 and the
+    stable type proportions are (b1, b2) = (1 - alpha, 1 - theta) / d with
+    d = (1 - alpha) + (1 - theta), so p_S(u) = b1 B(u_1) + b2 R(u_1) when
+    |u| = 2, and 0 for every other brood, where B = Bin(2, theta) and
+    R = Bin(2, 1 - alpha) = Bin(2, alpha) reversed. With db1/dalpha =
+    -(1 - theta)/d^2, db1/dtheta = (1 - alpha)/d^2 and db2 = -db1,
+
+        dp/dalpha = db1/dalpha (B - R) + b2 (2 alpha, 2 - 4 alpha, -2 (1 - alpha))
+        dp/dtheta = db1/dtheta (B - R) + b1 (-2 (1 - theta), 2 - 4 theta, 2 theta)
+
+    at u_1 = 0, 1, 2. Returns p and ``jac[u] = (dp/dalpha, dp/dtheta)``,
+    zero on off-support rows.
     """
     alpha, th = float(theta[0]), float(theta[1])
     if not (0.0 < alpha < 1.0 and 0.0 < th < 1.0):
@@ -266,10 +269,18 @@ def mitosis_size_biased_pmf(theta: Sequence[float], broods) -> np.ndarray:
     broods = np.asarray(broods)
     # b2 is its own quotient and Bin(2, 1 - alpha) is Bin(2, alpha) reversed:
     # 1 - b1 and 1 - (1 - alpha) would cancel near the box edges
-    b1, b2 = np.array([1.0 - alpha, 1.0 - th]) / ((1.0 - alpha) + (1.0 - th))
-    by_unmarked = b1 * _binomial2(th) + b2 * _binomial2(alpha)[::-1]
+    d = (1.0 - alpha) + (1.0 - th)
+    b1, b2 = np.array([1.0 - alpha, 1.0 - th]) / d
+    keep, swap = _binomial2(th), _binomial2(alpha)[::-1]
+    d_keep = np.array([-2.0 * (1.0 - th), 2.0 - 4.0 * th, 2.0 * th])
+    d_swap = np.array([2.0 * alpha, 2.0 - 4.0 * alpha, -2.0 * (1.0 - alpha)])
+    # db1/dalpha = -(1 - theta)/d^2 = -b2/d and db1/dtheta = (1 - alpha)/d^2 = b1/d
+    by_unmarked = np.column_stack(
+        (b1 * keep + b2 * swap, b2 * (d_swap - (keep - swap) / d), b1 * (d_keep + (keep - swap) / d))
+    )
     on_support = (broods.shape[1] == 2) & (broods.min(axis=1) >= 0) & (broods.sum(axis=1) == 2)
-    return np.where(on_support, by_unmarked[np.clip(broods[:, 0], 0, 2)], 0.0)
+    rows = np.where(on_support[:, None], by_unmarked[np.clip(broods[:, 0], 0, 2)], 0.0)
+    return rows[:, 0], rows[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -296,7 +307,7 @@ def mitosis_counts(sample) -> tuple[int, int, int]:
     tally = {tuple(int(x) for x in k): int(c) for k, c in zip(keys, counts)}
     known = {(2, 0), (1, 1), (0, 2)}
     if set(tally) - known:
-        raise ValueError(f"non-mitosis broods present: {sorted(set(tally) - known)}")
+        raise InvalidArgument(f"non-mitosis broods present: {sorted(set(tally) - known)}")
     return tally.get((2, 0), 0), tally.get((1, 1), 0), tally.get((0, 2), 0)
 
 
@@ -310,7 +321,7 @@ def mitosis_closed_form(n1: int, nb: int, n2: int, r: int) -> MitosisEstimates:
     """
     n1, nb, n2, r = int(n1), int(nb), int(n2), int(r)
     if min(n1, nb, n2) < 0 or r < 1 or n1 + nb + n2 != r:
-        raise ValueError("counts must be nonnegative and sum to r >= 1")
+        raise InvalidArgument("counts must be nonnegative and sum to r >= 1")
     unmarked = 2 * n1 + nb  # unmarked children observed
     marked = 2 * n2 + nb
     b1 = unmarked / (2.0 * r)

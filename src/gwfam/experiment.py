@@ -19,7 +19,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Sequence
 
@@ -297,6 +296,8 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
         tasks = [(payload, k) for k in range(config.replicates)]
         try:
             if config.workers > 1:
+                # imported here: multiprocessing pulls in socket and selectors
+                from multiprocessing import Pool
                 chunk = -(-len(tasks) // (4 * config.workers))
                 with Pool(processes=config.workers) as pool:
                     # in order, so the failure raised is the lowest index

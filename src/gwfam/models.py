@@ -346,8 +346,8 @@ def rds_model(
     if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-9:
         raise ParameterOutOfRange("population shares must be positive and sum to 1")
     caps = [int(c) for c in max_surveys]
-    if len(caps) != n_types or any(c < 1 for c in caps):
-        raise ParameterOutOfRange("survey caps must be positive, one per group")
+    if len(caps) != n_types or any(c < 1 or c != float(m) for c, m in zip(caps, max_surveys)):
+        raise ParameterOutOfRange("survey caps must be positive integers, one per group")
     w = np.asarray(
         RDS_REFERRAL_WEIGHTS if weight_rule is None else weight_rule, dtype=float
     )
@@ -447,7 +447,8 @@ def load_model(path: str | Path) -> BranchingModel:
 def parse_model_arg(text: str) -> BranchingModel:
     """Parse a CLI model argument: builtin ``name:key=val,...`` or a file path.
 
-    Examples: ``mitosis:alpha=0.8,theta=0.8``, ``rds``, ``models/custom.json``.
+    A ``/``-separated value is a list. Examples: ``mitosis:alpha=0.8,theta=0.8``,
+    ``rds``, ``rds:max_surveys=3/3/3/3``, ``models/custom.json``.
     """
     head, _, tail = text.partition(":")
     if head in BUILTIN_MODELS:
@@ -458,10 +459,11 @@ def parse_model_arg(text: str) -> BranchingModel:
                 try:
                     if not eq:
                         raise ValueError
-                    params[key.strip()] = float(val)
+                    values = [float(v) for v in val.split("/")]
+                    params[key.strip()] = values if "/" in val else values[0]
                 except ValueError:
                     raise InvalidArgument(
-                        f"malformed model parameter {item!r}; expected key=number"
+                        f"malformed model parameter {item!r}; expected key=number or key=n/n/..."
                     ) from None
         return model_from_dict({"builtin": head, "params": params})
     return load_model(text)

@@ -436,7 +436,7 @@ def empirical_tv_to_limit(samples: Sequence[FamilySample], ps: SizeBiasedLaw) ->
         marginal.update(tuple(row) for row in sample.broods.tolist())
     n_marginal = sum(marginal.values())
     if n_marginal == 0:
-        raise ValueError("no sampled broods")
+        raise InvalidArgument("no sampled broods")
     support = {tuple(v) for v in ps.vectors.tolist()}
     return 0.5 * sum(
         abs(marginal.get(u, 0) / n_marginal - ps.prob_of(u)) for u in support | set(marginal)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotPositivelyRegular
+from .errors import ConvergenceFailure, InvalidArgument, NotPositivelyRegular
 from .models import BranchingModel, SupportLookup
 
 POWER_TOL = 1e-13
@@ -33,9 +33,9 @@ def is_positively_regular(m: np.ndarray) -> bool:
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
+        raise InvalidArgument("need a square matrix")
     if np.any(m < 0):
-        raise ValueError("need a nonnegative matrix")
+        raise InvalidArgument("need a nonnegative matrix")
     n = m.shape[0]
     pattern = (m > 0).astype(np.int64)
     power = pattern

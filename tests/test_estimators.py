@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import gwfam as g
 from gwfam.errors import (
     EmptySample,
+    InvalidArgument,
     ModelConstructionFailed,
     OptimizerDiverged,
     ParameterOutOfRange,
@@ -19,10 +20,10 @@ from gwfam.simulate import SeedSpec
 from gwfam.spectral import AsymptoticVariances
 from tests_support import model_family
 
-# the mitosis amle family built through the model, the oracle of the closed form
-mitosis_oracle = model_family(lambda th: g.mitosis_model(th[0], th[1]))
-MITOSIS_FAMILIES = (g.mitosis_size_biased_pmf, mitosis_oracle)
 MITOSIS_BOUNDS = ((1e-6, 1.0 - 1e-6), (1e-6, 1.0 - 1e-6))
+# the mitosis amle family built through the model, the oracle of the closed form
+mitosis_oracle = model_family(lambda th: g.mitosis_model(th[0], th[1]), MITOSIS_BOUNDS)
+MITOSIS_FAMILIES = (g.mitosis_size_biased_pmf, mitosis_oracle)
 
 
 def counts_to_broods(n1, nb, n2):
@@ -133,8 +134,8 @@ class TestMitosisSizeBiasedPmf:
         rng = np.random.default_rng(2023)
         for _ in range(200):
             theta = rng.uniform(0.0, 1.0, size=2)
-            closed = g.mitosis_size_biased_pmf(theta, self.ROWS)
-            oracle = mitosis_oracle(theta, self.ROWS)
+            closed, _ = g.mitosis_size_biased_pmf(theta, self.ROWS)
+            oracle, _ = mitosis_oracle(theta, self.ROWS)
             assert (np.abs(closed[:3] - oracle[:3]) <= 1e-14 * oracle[:3]).all()
             assert (closed[3:] == 0.0).all() and (oracle[3:] == 0.0).all()
 
@@ -144,8 +145,8 @@ class TestMitosisSizeBiasedPmf:
         # off at alpha = 1e-6; the exact test below covers each mass alone.
         edges = (1e-6, 0.5, 1.0 - 1e-6)
         for theta in itertools.product(edges, edges):
-            closed = g.mitosis_size_biased_pmf(theta, self.ROWS)
-            oracle = mitosis_oracle(theta, self.ROWS)
+            closed, _ = g.mitosis_size_biased_pmf(theta, self.ROWS)
+            oracle, _ = mitosis_oracle(theta, self.ROWS)
             assert np.abs(closed - oracle).max() <= 1e-14 * oracle.max()
             assert (closed[3:] == 0.0).all() and (oracle[3:] == 0.0).all()
 
@@ -160,9 +161,37 @@ class TestMitosisSizeBiasedPmf:
                 b1 * 2 * t * (1 - t) + (1 - b1) * 2 * a * (1 - a),
                 b1 * (1 - t) ** 2 + (1 - b1) * a**2,
             ]
-            closed = g.mitosis_size_biased_pmf((alpha, theta), self.ROWS[:3])
+            closed, jac = g.mitosis_size_biased_pmf((alpha, theta), self.ROWS[:3])
             for got, want in zip(closed, exact):
                 assert abs(Fraction(float(got)) - want) <= Fraction(1e-14) * want
+            # the Jacobian against the exact derivatives, relative to each
+            # column's largest entry
+            d = (1 - a) + (1 - t)
+            keep = [t**2, 2 * t * (1 - t), (1 - t) ** 2]
+            swap = [(1 - a) ** 2, 2 * a * (1 - a), a**2]
+            columns = [
+                [
+                    -(1 - t) / d**2 * (k - w) + (1 - b1) * dw
+                    for k, w, dw in zip(keep, swap, [-2 * (1 - a), 2 - 4 * a, 2 * a])
+                ],
+                [
+                    (1 - a) / d**2 * (k - w) + b1 * dk
+                    for k, w, dk in zip(keep, swap, [2 * t, 2 - 4 * t, -2 * (1 - t)])
+                ],
+            ]
+            for got, want in zip(jac.T, columns):
+                scale = max(abs(x) for x in want)
+                for x, y in zip(got, want):
+                    assert abs(Fraction(float(x)) - y) <= Fraction(1e-14) * scale
+
+    def test_jacobian_matches_the_differenced_oracle(self):
+        rng = np.random.default_rng(2310)
+        for _ in range(200):
+            theta = rng.uniform(0.01, 0.99, size=2)
+            _, closed = g.mitosis_size_biased_pmf(theta, self.ROWS)
+            _, oracle = mitosis_oracle(theta, self.ROWS)
+            assert np.abs(closed - oracle).max() <= 1e-6
+            assert (closed[3:] == 0.0).all()
 
     @pytest.mark.parametrize("theta", [(0.0, 0.5), (0.5, 1.0), (1.2, 0.5)])
     def test_outside_the_open_box_rejected(self, theta):
@@ -249,11 +278,20 @@ class TestAmleFit:
     def test_converges_on_every_simulated_fit_sample(self):
         # the fit-mitosis setting: mitosis(0.9, 0.7) from (1, 1), n = 14, r = 196
         model = g.mitosis_model(0.9, 0.7)
+        evaluations = []
         for k in range(200):
             seed = SeedSpec(4242, replicate=k)
             sample = g.draw_family_sample(g.simulate_aggregate(model, (1, 1), 14, seed), 196, seed)
             fit = g.amle_fit(g.mitosis_size_biased_pmf, sample.broods, (0.9, 0.9), MITOSIS_BOUNDS)
             assert fit.converged, k
+            n1, nb, n2 = g.mitosis_counts(sample)
+            cf = g.mitosis_closed_form(n1, nb, n2, 196)
+            roots = [(cf.alpha_hat, cf.theta_hat), g.mitosis_twin_root(n1, nb, n2, 196)]
+            gap = min(np.abs(fit.theta_hat - root).max() for root in roots if root is not None)
+            assert gap <= 1e-7, (k, gap)
+            evaluations.append(fit.n_evaluations)
+        # one family call per point visited, so a typical fit makes few
+        assert np.median(evaluations) <= 10
 
     def test_mismatched_counts_converge_to_the_fold_optimum(self):
         # with 4 n1 n2 < nb^2 the likelihood peaks on the fold alpha + theta = 1,
@@ -267,6 +305,9 @@ class TestAmleFit:
     def test_theta0_outside_box_rejected(self):
         with pytest.raises(ValueError):
             g.amle_fit(mitosis_oracle, counts_to_broods(1, 1, 1), (0.5, 2.0), MITOSIS_BOUNDS)
+        # a start of the wrong dimension is outside the box too
+        with pytest.raises(InvalidArgument):
+            g.amle_fit(mitosis_oracle, counts_to_broods(1, 1, 1), (0.5,), MITOSIS_BOUNDS)
 
 
 class TestMitosisClosedForm:
@@ -290,6 +331,8 @@ class TestMitosisClosedForm:
     def test_counts_must_sum_to_r(self):
         with pytest.raises(ValueError):
             g.mitosis_closed_form(1, 1, 1, 4)
+        with pytest.raises(InvalidArgument):
+            g.mitosis_closed_form(-1, 2, 3, 4)
 
     def test_twin_root_matches_frequencies_exactly(self):
         # the family is two-to-one from its size-biased law: whenever the
@@ -335,6 +378,8 @@ class TestMitosisClosedForm:
     def test_rejects_foreign_broods(self):
         with pytest.raises(ValueError):
             g.mitosis_counts(np.array([[3, 0]]))
+        with pytest.raises(InvalidArgument):
+            g.mitosis_counts(np.array([[2, 0], [1, 2]]))
 
 
 class TestCiCoverage:

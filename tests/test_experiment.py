@@ -427,6 +427,13 @@ class TestCli:
         payload = json.loads(res.stdout)
         assert payload["rho"] == pytest.approx(2.0)
 
+    def test_validate_rds_with_list_parameters(self):
+        # a /-separated value is a list: one survey cap per group
+        res = run_cli("validate", "--model", "rds:max_surveys=3/3/3/3", "--json")
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert payload["assumption1_ok"] and payload["assumption2_ok"]
+
     def test_spectral_json(self):
         res = run_cli("spectral", "--model", "rds", "--json")
         payload = json.loads(res.stdout)
@@ -522,6 +529,15 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
 
+    def test_import_loads_no_multiprocessing(self):
+        # only a parallel experiment needs it
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        code = "import sys, gwfam; print('multiprocessing' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_error_exit_code(self):
         res = run_cli("oracle", "distinct", "--sizes", "2,2", "--r", "9")
         assert res.returncode == 1
@@ -567,6 +583,7 @@ class TestCli:
             ("validate", "--model", "number_type_names.json"),
             ("validate", "--model", "not_json.json"),
             ("validate", "--model", "rds:max_surveys=3"),
+            ("validate", "--model", "rds:max_surveys=3.5/3/3/3"),
             ("histogram", "--input", "inf.csv"),
             ("histogram", "--input", "nan.csv"),
         ],

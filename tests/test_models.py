@@ -181,6 +181,9 @@ class TestRdsModel:
             g.rds_model(pop_props=(0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ParameterOutOfRange):
             g.rds_model(max_surveys=(10, 10, 0, 5))
+        # a fractional cap is rejected, not truncated
+        with pytest.raises(ParameterOutOfRange):
+            g.rds_model(max_surveys=(3.5, 3, 3, 3))
 
 
 class TestValidateModel:

@@ -504,3 +504,8 @@ class TestEmpiricalTv:
         ps = g.size_biased_pmf(mitosis88, pair)
         tv_m = g.empirical_tv_to_limit([self._sample_of([(5, 5)] * 10)], ps)
         assert tv_m == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_broods_rejected(self, mitosis88):
+        ps = g.size_biased_pmf(mitosis88, g.perron(g.reproduction_matrix(mitosis88)))
+        with pytest.raises(InvalidArgument):
+            g.empirical_tv_to_limit([], ps)

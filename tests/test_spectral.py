@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gwfam as g
-from gwfam.errors import NotPositivelyRegular
+from gwfam.errors import InvalidArgument, NotPositivelyRegular
 from tests_support import random_primitive_model
 
 RDS_PRINTED_B = np.array([0.02667997, 0.01284096, 0.17786649, 0.78261257])
@@ -36,6 +36,11 @@ class TestPositiveRegularity:
 
     def test_reducible(self):
         assert not g.is_positively_regular(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(4), np.array([[1.0, -1.0], [1.0, 1.0]])])
+    def test_malformed_matrix_rejected(self, m):
+        with pytest.raises(InvalidArgument):
+            g.is_positively_regular(m)
 
     def test_primitive_needs_high_power(self):
         # cyclic shift plus one self-loop: primitive, positive only at high powers

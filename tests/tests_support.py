@@ -26,18 +26,31 @@ def run_cli(*args):
     )
 
 
-def model_family(build):
+def model_family(build, bounds=None):
     """The amle family of a model builder, through the model's own laws.
 
     ``family(theta, broods)`` builds ``build(theta)``, runs its power
     iteration and looks each brood up in the size-biased law: the general
-    recipe, kept as the oracle of closed-form families.
+    recipe, kept as the oracle of closed-form families. Its Jacobian is the
+    central difference at relative step 1e-6, the stencil clipped into
+    ``bounds`` (the fit's box) so every point it builds is a valid model.
     """
+    lo, hi = (-np.inf, np.inf) if bounds is None else np.array(bounds, dtype=float).T
 
-    def family(theta, broods):
+    def probs(theta, broods):
         m = build(theta)
         law = g.size_biased_pmf(m, g.perron(g.reproduction_matrix(m)))
         return np.array([law.prob_of(u) for u in broods])
+
+    def family(theta, broods):
+        theta = np.asarray(theta, dtype=float)
+        jac = np.empty((len(broods), theta.size))
+        for d in range(theta.size):
+            step = np.zeros(theta.size)
+            step[d] = 1e-6 * max(1.0, abs(theta[d]))
+            up, dn = np.minimum(theta + step, hi), np.maximum(theta - step, lo)
+            jac[:, d] = (probs(up, broods) - probs(dn, broods)) / (up[d] - dn[d])
+        return probs(theta, broods), jac
 
     return family
 
