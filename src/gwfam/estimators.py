@@ -39,13 +39,30 @@ def _normal_quantile(level: float) -> float:
 
 
 def _as_brood_matrix(sample) -> np.ndarray:
-    broods = np.asarray(getattr(sample, "broods", sample), dtype=np.int64)
+    broods = np.asarray(getattr(sample, "broods", sample))
+    if broods.dtype != np.int64:  # the samplers' dtype; any other must hold whole counts
+        with np.errstate(invalid="ignore"):  # a NaN or out-of-range entry casts unequal
+            whole = broods.astype(np.int64)
+        if not np.array_equal(whole, broods):
+            raise InvalidArgument("brood entries must be whole numbers")
+        broods = whole
     if broods.ndim != 2 or broods.shape[0] == 0:
         raise EmptySample("need a nonempty matrix of brood vectors")
-    sizes = broods.sum(axis=1)
-    if np.any(sizes < 1):
+    if broods.sum(axis=1).min() < 1:
         raise InvalidArgument("every sampled brood must have at least one member")
+    if broods.min() < 0:
+        raise InvalidArgument("brood entries must be nonnegative")
     return broods
+
+
+def _tally(broods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(broods, axis=0, return_counts=True)`` from one lexsort of
+    the columns, without sorting the rows as a void dtype."""
+    ordered = broods.take(np.lexsort(broods.T[::-1]), axis=0)
+    starts = np.ones(len(ordered) + 1, dtype=bool)  # where a run of equal rows starts
+    np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1, out=starts[1:-1])
+    starts = starts.nonzero()[0]
+    return ordered[starts[:-1]], starts[1:] - starts[:-1]
 
 
 @dataclass(frozen=True)
@@ -147,9 +164,11 @@ def amle_fit(
 ) -> MleFit:
     """Fit a parametric family by maximizing the size-biased log likelihood.
 
+    The sample is tallied once, by one lexsort of its columns, into its
+    distinct broods u in lexicographic order and their counts c_u.
     ``family(theta, broods)`` returns ``(p, jac)``: p_S(u; theta) over the
-    rows u of ``broods``, the sample's distinct broods, and its Jacobian
-    ``jac[u, d]`` = dp_S(u)/dtheta_d. The counts c_u give the log likelihood
+    rows u of ``broods``, those distinct broods, and its Jacobian
+    ``jac[u, d]`` = dp_S(u)/dtheta_d. The counts give the log likelihood
     sum_u c_u log p_S(u; theta). ``mitosis_size_biased_pmf`` is the mitosis
     family in closed form.
 
@@ -168,13 +187,15 @@ def amle_fit(
     each probe. The stationarity residual is max |s| at the end (None on the
     box boundary).
     """
-    broods = _as_brood_matrix(sample)
-    unique, counts = np.unique(broods, axis=0, return_counts=True)
+    unique, counts = _tally(_as_brood_matrix(sample))
     r = float(counts.sum())
     theta0 = np.asarray(theta0, dtype=float)
     lo, hi = np.array(bounds, dtype=float).T
-    if theta0.shape != lo.shape or np.any(theta0 < lo) or np.any(theta0 > hi):
-        raise InvalidArgument("theta0 must lie inside the bounds box")
+    # a NaN start or bound fails the comparisons, an infinite bound the finite width
+    if theta0.shape != lo.shape or not np.all(
+        (lo <= theta0) & (theta0 <= hi) & np.isfinite(hi - lo)
+    ):
+        raise InvalidArgument("theta0 must lie inside a bounds box of finite width")
     eye, evaluations = np.eye(theta0.size), 0
 
     def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -186,7 +207,7 @@ def amle_fit(
             jac = np.asarray(jac, dtype=float).reshape(p.size, theta.size)
         except Exception as exc:
             raise ModelConstructionFailed(f"family failed at theta={theta}") from exc
-        return (float(counts @ np.log(p)) if np.all(p > 0.0) else -math.inf), p, jac
+        return (float(counts @ np.log(p)) if p.min() > 0.0 else -math.inf), p, jac
 
     def climb(theta: np.ndarray, ll: float, p: np.ndarray, jac: np.ndarray):
         mu, grow, stat, accepted = 1e-3, 2.0, math.inf, True
@@ -194,13 +215,13 @@ def amle_fit(
             if accepted:
                 score = jac.T @ (counts / p)
                 info = r * (jac.T / p) @ jac
-                free = score.copy()
-                free[((theta <= lo) & (score < 0)) | ((theta >= hi) & (score > 0))] = 0.0
+                blocked = ((theta <= lo) & (score < 0)) | ((theta >= hi) & (score > 0))
+                free = np.where(blocked, 0.0, score) if blocked.any() else score
             step = np.linalg.solve(info + mu * r * eye, free)
             stat = float(free @ step)
             if stat <= 1e-16:
                 break
-            trial = np.clip(theta + step, lo, hi)
+            trial = np.minimum(np.maximum(theta + step, lo), hi)
             trial_ll, trial_p, trial_jac = evaluate(trial)
             moved = trial - theta
             predicted = free @ moved - 0.5 * moved @ info @ moved  # the model's expected rise
@@ -220,7 +241,7 @@ def amle_fit(
     eigval, eigvec = np.linalg.eigh(info)
     if eigval[0] <= 1e-8 * eigval[-1]:
         for sign in (1.0, -1.0):
-            probe = np.clip(theta + sign * 0.05 * (hi - lo) * eigvec[:, 0], lo, hi)
+            probe = np.minimum(np.maximum(theta + sign * 0.05 * (hi - lo) * eigvec[:, 0], lo), hi)
             probe_ll, p, jac = evaluate(probe)
             if probe_ll > ll:
                 theta, ll, converged, score, info = climb(probe, probe_ll, p, jac)
@@ -238,11 +259,6 @@ def amle_fit(
 # ---------------------------------------------------------------------------
 # Mitosis family: closed-form estimators
 # ---------------------------------------------------------------------------
-
-
-def _binomial2(q: float) -> np.ndarray:
-    # Bin(2, q) at 0, 1, 2
-    return np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
 
 
 def mitosis_size_biased_pmf(theta: Sequence[float], broods) -> tuple[np.ndarray, np.ndarray]:
@@ -270,16 +286,19 @@ def mitosis_size_biased_pmf(theta: Sequence[float], broods) -> tuple[np.ndarray,
     # b2 is its own quotient and Bin(2, 1 - alpha) is Bin(2, alpha) reversed:
     # 1 - b1 and 1 - (1 - alpha) would cancel near the box edges
     d = (1.0 - alpha) + (1.0 - th)
-    b1, b2 = np.array([1.0 - alpha, 1.0 - th]) / d
-    keep, swap = _binomial2(th), _binomial2(alpha)[::-1]
-    d_keep = np.array([-2.0 * (1.0 - th), 2.0 - 4.0 * th, 2.0 * th])
-    d_swap = np.array([2.0 * alpha, 2.0 - 4.0 * alpha, -2.0 * (1.0 - alpha)])
-    # db1/dalpha = -(1 - theta)/d^2 = -b2/d and db1/dtheta = (1 - alpha)/d^2 = b1/d
-    by_unmarked = np.column_stack(
-        (b1 * keep + b2 * swap, b2 * (d_swap - (keep - swap) / d), b1 * (d_keep + (keep - swap) / d))
-    )
+    b1, b2 = (1.0 - alpha) / d, (1.0 - th) / d
+    keep = ((1.0 - th) ** 2, 2.0 * th * (1.0 - th), th * th)
+    swap = (alpha * alpha, 2.0 * alpha * (1.0 - alpha), (1.0 - alpha) ** 2)
+    d_keep = (-2.0 * (1.0 - th), 2.0 - 4.0 * th, 2.0 * th)
+    d_swap = (2.0 * alpha, 2.0 - 4.0 * alpha, -2.0 * (1.0 - alpha))
+    # (p, dp/dalpha, dp/dtheta) at u_1 = 0, 1, 2 and a zero row for off-support
+    # broods; db1/dalpha = -(1 - theta)/d^2 = -b2/d and db1/dtheta = (1 - alpha)/d^2 = b1/d
+    table = [
+        (b1 * k + b2 * w, b2 * (dw - (k - w) / d), b1 * (dk + (k - w) / d))
+        for k, w, dk, dw in zip(keep, swap, d_keep, d_swap)
+    ]
     on_support = (broods.shape[1] == 2) & (broods.min(axis=1) >= 0) & (broods.sum(axis=1) == 2)
-    rows = np.where(on_support[:, None], by_unmarked[np.clip(broods[:, 0], 0, 2)], 0.0)
+    rows = np.array(table + [(0.0,) * 3]).take(np.where(on_support, broods[:, 0], 3), axis=0)
     return rows[:, 0], rows[:, 1:]
 
 

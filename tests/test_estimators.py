@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gwfam as g
@@ -15,7 +15,7 @@ from gwfam.errors import (
     OptimizerDiverged,
     ParameterOutOfRange,
 )
-from gwfam.estimators import _normal_quantile
+from gwfam.estimators import _normal_quantile, _tally
 from gwfam.simulate import SeedSpec
 from gwfam.spectral import AsymptoticVariances
 from tests_support import model_family
@@ -49,6 +49,19 @@ class TestMomEstimates:
     def test_empty_rejected(self):
         with pytest.raises(EmptySample):
             g.mom_estimates(np.zeros((0, 2), dtype=int))
+
+    @pytest.mark.parametrize(
+        "broods",
+        [[[1.5, 0.5], [1, 1]], [[3, -1], [1, 1]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[1e30, 1.0]]],
+    )
+    def test_fractional_negative_or_nonfinite_entries_rejected(self, broods):
+        # a cast to int64 would truncate them into broods the caller never passed
+        for estimator in (g.mom_estimates, g.plugin_variances, g.mitosis_counts):
+            with pytest.raises(InvalidArgument):
+                estimator(broods)
+
+    def test_whole_float_entries_accepted(self):
+        assert g.mitosis_counts([[2.0, 0.0], [1.0, 1.0], [1.0, 1.0]]) == (1, 2, 0)
 
     @given(
         st.lists(
@@ -193,6 +206,15 @@ class TestMitosisSizeBiasedPmf:
             assert np.abs(closed - oracle).max() <= 1e-6
             assert (closed[3:] == 0.0).all()
 
+    @pytest.mark.parametrize(
+        "rows", [[(3, -1), (1, 2), (3, 0)], [(2, 0, 0), (1, 1, 0), (0, 0, 2)], [(2,), (1,)]]
+    )
+    def test_off_support_rows_are_zero(self, rows):
+        # no brood of another width or size is on the mitosis support
+        p, jac = g.mitosis_size_biased_pmf((0.9, 0.7), np.array(rows, dtype=np.int64))
+        assert p.shape == (len(rows),) and jac.shape == (len(rows), 2)
+        assert (p == 0.0).all() and (jac == 0.0).all()
+
     @pytest.mark.parametrize("theta", [(0.0, 0.5), (0.5, 1.0), (1.2, 0.5)])
     def test_outside_the_open_box_rejected(self, theta):
         with pytest.raises(ParameterOutOfRange):
@@ -308,6 +330,46 @@ class TestAmleFit:
         # a start of the wrong dimension is outside the box too
         with pytest.raises(InvalidArgument):
             g.amle_fit(mitosis_oracle, counts_to_broods(1, 1, 1), (0.5,), MITOSIS_BOUNDS)
+
+    @pytest.mark.parametrize(
+        "theta0, bounds",
+        [
+            ((math.nan, 0.5), MITOSIS_BOUNDS),
+            ((0.5, 0.5), ((math.nan, 1.0), (0.0, 1.0))),
+            ((0.5, 0.5), ((0.0, math.nan), (0.0, 1.0))),
+            ((0.5, 0.5), ((-math.inf, math.inf), (0.0, 1.0))),
+        ],
+    )
+    def test_non_finite_start_or_bound_rejected_before_any_family_call(self, theta0, bounds):
+        def family(theta, broods):
+            raise AssertionError(f"family called at {theta}")
+
+        with pytest.raises(InvalidArgument):
+            g.amle_fit(family, counts_to_broods(1, 1, 1), theta0, bounds)
+
+
+class TestTally:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.integers(0, 3) | st.integers(2**40 - 2, 2**40 + 2), min_size=k, max_size=k
+                ),
+                min_size=1,
+                max_size=30,
+            )
+        )
+    )
+    @example([[2**40 + 1]])
+    @example([[2**40, 3, 0, 2**40 - 1]])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_unique_rows(self, rows):
+        broods = np.array(rows, dtype=np.int64)
+        want_rows, want_counts = np.unique(broods, axis=0, return_counts=True)
+        got_rows, got_counts = _tally(broods)
+        assert got_rows.tolist() == want_rows.tolist()
+        assert got_counts.tolist() == want_counts.tolist()
+        assert got_counts.dtype == want_counts.dtype
 
 
 class TestMitosisClosedForm:

@@ -556,6 +556,7 @@ class TestCli:
             ("oracle", "distinct", "--sizes", "0,1", "--r", "1"),
             ("histogram", "--input", "replicates.csv", "--bins", "0"),
             ("estimate", "--input", "brood.csv"),
+            ("estimate", "--input", "negative_brood.csv"),
             ("oracle", "pair", "--model", "rds", "--z-prev", "1,0,0,1"),
             ("simulate", "--model", "rds", "--z0", "1,1,1,1", "--n", "3", "--seed", "-1"),
             ("simulate", "--model", "rds", "--z0", "1,1,1,1", "--n", "3", "--seed", "1",
@@ -592,6 +593,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         Path("brood.csv").write_text("replicate,brood_a,brood_b\n0,1,1\n0,1.5,1\n")
         Path("empty_brood.csv").write_text("replicate,brood_a,brood_b\n0,1,1\n0,0,0\n")
+        Path("negative_brood.csv").write_text("replicate,brood_a,brood_b\n0,1,1\n0,3,-1\n")
         mate = {"support": [[1, 1]], "probs": [1.0]}
         for name, law in [
             ("negative_count", {"support": [[2, -1], [0, 2]], "probs": [0.5, 0.5]}),
